@@ -1,10 +1,11 @@
 """Shared helpers for the per-figure benchmark targets.
 
-Each ``bench_figNN`` module regenerates one results figure of the paper
-with ``pytest-benchmark`` timing the regeneration, prints the series the
-paper's plot shows, and asserts the paper's qualitative claims on the
-fresh data.  Coarse grids (1 point/decade) keep each target in seconds;
-``examples/reproduce_paper.py`` runs the full-resolution version.
+Each target in ``bench_figures.py`` regenerates one results figure of
+the paper with ``pytest-benchmark`` timing the regeneration, prints the
+series the paper's plot shows, and asserts the paper's qualitative
+claims on the fresh data.  Coarse grids (1 point/decade) keep each
+target in seconds; ``examples/reproduce_paper.py`` runs the
+full-resolution version.
 """
 
 from __future__ import annotations

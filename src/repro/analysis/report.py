@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.executor import SweepExecutor, use_executor
+from ..core.executor import SweepExecutor, current_executor, use_executor
 from .ascii_plot import render
 from .claims import ALL_CLAIMS, ClaimResult
 from .figures import ALL_FIGURES, FigureData
@@ -35,8 +35,10 @@ def run_figure(fig_id: str, per_decade: int = 2,
     """Regenerate one figure and check its claims.
 
     ``executor`` parallelizes/caches the figure's sweeps (see
-    :class:`~repro.core.executor.SweepExecutor`); ``None`` keeps the
-    serial reference path.
+    :class:`~repro.core.executor.SweepExecutor`); ``None`` uses the
+    ambient executor (:func:`~repro.core.executor.current_executor`).
+    The figure is bracketed by ``figure_start`` / ``figure_end``
+    lifecycle events on that executor.
     """
     generator = ALL_FIGURES.get(fig_id) or SCALING_FIGURES.get(fig_id)
     if generator is None and fig_id not in FIGURE_SPECS:
@@ -45,13 +47,9 @@ def run_figure(fig_id: str, per_decade: int = 2,
             if f not in ALL_FIGURES and f not in SCALING_FIGURES
         )
         raise KeyError(f"unknown figure {fig_id!r}; have {known}")
-    telemetry = executor.telemetry if executor is not None else None
-    timed = telemetry is not None or (
-        executor is not None and executor.point_log
-    )
-    if telemetry is not None:
-        telemetry.emit("figure_start", figure=fig_id)
-    t0_wall = time.perf_counter() if timed else 0.0
+    executor = current_executor(executor)
+    executor.publish("figure_start", figure=fig_id)
+    t0_wall = time.perf_counter()
     with use_executor(executor):
         if generator is None:
             # Registry-only entry (e.g. a CI-band variant): interpret
@@ -62,9 +60,8 @@ def run_figure(fig_id: str, per_decade: int = 2,
             fig = generator(**kwargs)  # linear grids take no per_decade
         else:
             fig = generator(per_decade=per_decade, **kwargs)
-    wall_s = time.perf_counter() - t0_wall if timed else 0.0
-    if telemetry is not None:
-        telemetry.emit("figure_end", figure=fig_id, wall_s=wall_s)
+    wall_s = time.perf_counter() - t0_wall
+    executor.publish("figure_end", figure=fig_id, wall_s=wall_s)
     claims_id = fig_id
     spec = FIGURE_SPECS.get(fig_id)
     if spec is not None and spec.claims_id:

@@ -272,12 +272,7 @@ class _LiveSweep:
         if self.ledger is not None:
             from . import compiled
 
-            for point in executor.point_records:
-                self.ledger.record_point(
-                    key=point["key"], kind=point["kind"],
-                    system=point["system"], outcome=point["outcome"],
-                    wall_s=point["wall_s"], seed=point["seed"],
-                )
+            self.ledger.record_points(executor.point_records)
             figures = None
             if reports is not None:
                 figures = {r.figure.fig_id: round(r.wall_s, 4)
@@ -464,9 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --compare: exit nonzero when the new record "
                    "regresses significantly")
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                   help="worker processes for sweep points "
-                   "(default: 1, serial — the recommended bench mode: "
-                   "pooled points strand their event counts in workers)")
+                   help="worker processes for sweep points (default: 1)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the on-disk point cache (cold timings)")
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,

@@ -147,18 +147,13 @@ def run_bench(
     events = events_processed_total(registry)
     if events is not None:
         # The simulator's own cost model: heap events dispatched across
-        # all in-process points (pooled points simulate elsewhere).
+        # every simulated point, serial or pooled.
         record["events_processed"] = events
     if profile is not None:
         echo(f"profiling {profile} (serial, uncached)...")
         record["profile"] = profile_figure(profile, per_decade=per_decade)
     if ledger is not None:
-        for point in executor.point_records:
-            ledger.record_point(
-                key=point["key"], kind=point["kind"],
-                system=point["system"], outcome=point["outcome"],
-                wall_s=point["wall_s"], seed=point["seed"],
-            )
+        ledger.record_points(executor.point_records)
         ledger.record_run(
             wall_s=round(total_s, 4),
             timestamp=record["timestamp"],
@@ -174,7 +169,7 @@ def run_bench(
 
 def events_processed_total(registry: MetricsRegistry) -> Optional[int]:
     """Sum the per-point engine event counters out of a metrics registry,
-    or ``None`` when the registry carries none (e.g. all points pooled)."""
+    or ``None`` when the registry carries none (e.g. every point cached)."""
     doc = registry.to_dict()
     total = 0
     seen = False

@@ -40,13 +40,23 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..config import SystemConfig
 from ..obs import live as _live
 from ..obs.context import current_observer
+from ..obs.lifecycle import (
+    MetricsProfile,
+    PointRecords,
+    Subscriber,
+    TelemetryFeed,
+    TraceMarkers,
+    publish,
+)
 from ..obs.live import TelemetryChannel
-from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 
 # Submodule imports only (never package-level ``..patterns``): the
 # patterns package imports core submodules, so importing its package
@@ -76,17 +86,6 @@ DEFAULT_CACHE_DIR = ".comb_cache"
 #: Bump to invalidate every existing cache record regardless of source
 #: hashing (e.g. when the *record format* below changes).
 CACHE_SCHEMA_VERSION = 1
-
-#: Replicates-per-point histogram buckets (adaptive designs are small).
-_REPLICATE_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0, 16.0, 32.0, 64.0)
-
-#: Stopping reason → metric counter name (static names keep the metric
-#: namespace enumerable).
-_STOP_COUNTERS = {
-    "ci_width": "executor.replication.stop.ci_width",
-    "max_reps": "executor.replication.stop.max_reps",
-    "fixed": "executor.replication.stop.fixed",
-}
 
 #: Method kind → (config type, runner, result type).
 _METHODS = {
@@ -120,23 +119,6 @@ def run_task(task: PointTask) -> Point:
     return runner(task.system, task.cfg)
 
 
-def run_task_checked(task: PointTask) -> Tuple[Point, List[Any]]:
-    """Execute one task under the simulation sanitizer.
-
-    Returns ``(point, violations)``.  Module-level (not a closure) so the
-    spawn pool can pickle it; :class:`~repro.verify.monitors.Violation` is
-    a frozen dataclass of primitives, so the report ships back intact.
-    The sanitizer only observes — the point is bit-identical to
-    :func:`run_task`'s.
-    """
-    from ..verify import Sanitizer, use_sanitizer
-
-    sanitizer = Sanitizer()
-    with use_sanitizer(sanitizer):
-        point = run_task(task)
-    return point, sanitizer.finalize()
-
-
 def _point_marker(task: PointTask) -> Tuple[str, str, int, int, int]:
     """``point_start`` detail: ``(kind, system, msg_bytes, interval_iters,
     warmup_windows)``.  Polling self-describes its window (``poll_window``
@@ -153,37 +135,20 @@ def _point_marker(task: PointTask) -> Tuple[str, str, int, int, int]:
 
 
 def _sim_entry(
-    task: PointTask, check: bool = False, timed: bool = False
-) -> Tuple[Point, List[Any], float]:
-    """Uniform worker entry: ``(point, violations, wall_s)``.
+    task_and_key: Tuple[PointTask, str], check: bool = False
+) -> Tuple[Point, List[Any], float, int]:
+    """Uniform worker entry: ``(point, violations, wall_s, events)``.
 
     Module-level so ``functools.partial`` of it pickles into the spawn
-    pool.  ``wall_s`` is measured *inside* the worker, so pool timings
-    profile simulation cost, not dispatch latency.  With ``timed`` and
-    ``check`` both off this is :func:`run_task` plus two constants —
-    the point itself is bit-identical in every mode.
-    """
-    t0_wall = time.perf_counter() if timed else 0.0
-    if check:
-        point, violations = run_task_checked(task)
-    else:
-        point, violations = run_task(task), []
-    wall_s = time.perf_counter() - t0_wall if timed else 0.0
-    return point, violations, wall_s
-
-
-def _sim_entry_live(
-    task_and_key: Tuple[PointTask, str],
-    check: bool = False,
-    timed: bool = False,
-) -> Tuple[Point, List[Any], float]:
-    """:func:`_sim_entry` bracketed by live telemetry lifecycle events.
-
-    Module-level for spawn-pool pickling.  Runs in the emitting process
-    (pool worker, or the parent on the serial path), so the emitted
-    ``point_start`` / ``point_end`` carry *that* process's pid and
-    cumulative drop counts.  Telemetry is observation-only: the returned
-    point is bit-identical to :func:`_sim_entry`'s.
+    pool.  Runs in the simulating process (pool worker, or the parent on
+    the serial path): ``wall_s`` is measured there, so pool timings
+    profile simulation cost, not dispatch latency; ``events`` is that
+    process's engine event tally, drained so pooled counts travel back
+    with their points.  The live telemetry hooks are no-ops unless the
+    process is armed as an emitter.  With ``check`` the point runs under
+    the simulation sanitizer, whose violations (frozen dataclasses of
+    primitives) ship back intact.  The point is bit-identical in every
+    mode.
     """
     task, key = task_and_key
     kind, system, msg_bytes, interval_iters, _warmup_windows = (
@@ -194,9 +159,19 @@ def _sim_entry_live(
         "msg_bytes": msg_bytes,
         "interval_iters": interval_iters,
     })
-    result = _sim_entry(task, check=check, timed=timed)
-    _live.note_point_end(key, kind, result[2])
-    return result
+    t0_wall = time.perf_counter()
+    if check:
+        from ..verify import Sanitizer, use_sanitizer
+
+        sanitizer = Sanitizer()
+        with use_sanitizer(sanitizer):
+            point = run_task(task)
+        violations = sanitizer.finalize()
+    else:
+        point, violations = run_task(task), []
+    wall_s = time.perf_counter() - t0_wall
+    _live.note_point_end(key, kind, wall_s)
+    return point, violations, wall_s, drain_events()
 
 
 # --------------------------------------------------------------------- keys
@@ -387,12 +362,6 @@ class SweepExecutor:
         :attr:`violations`.  Observation-only: checked points are
         bit-identical to unchecked ones.  Off by default — the default
         path never imports or touches the verify package.
-    metrics:
-        A :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        wall-clock stage profiles: cache hit/miss lookup latency
-        histograms, per-point simulation wall times, and worker fan-out
-        utilization per batch.  ``None`` (default) skips all wall-clock
-        reads — the unprofiled path takes no timestamps at all.
     reps:
         Replicate cap per sweep point.  ``1`` (default) is the classic
         single-shot path, bit-identical to the pre-replication executor.
@@ -406,18 +375,13 @@ class SweepExecutor:
         this wide (never exceeding the ``reps`` cap).  ``None``
         (default) runs the fixed design of exactly ``reps`` replicates.
         Ignored when ``reps == 1``.
-    telemetry:
-        A :class:`~repro.obs.live.TelemetryChannel` receiving live point
-        lifecycle events and per-worker heartbeats (see
-        :mod:`repro.obs.live`).  Pool workers are armed through the pool
-        initializer; on the serial path the parent arms itself.
-        ``None`` (default) is the detached path — no queue, no arming,
-        bit-identical results and walls.
-    point_log:
-        Record one parent-side outcome dict per point into
-        :attr:`point_records` (key, kind, system, hit/miss/duplicate,
-        wall, seed) — the run ledger's feed.  Implied timing only; the
-        points themselves are untouched.
+    metrics, telemetry, point_log:
+        Observers of one point-lifecycle event stream (see
+        :mod:`repro.obs.lifecycle`), each a subscriber: a metrics
+        registry gets the wall-clock stage profile, a telemetry channel
+        the live stream, and ``point_log`` fills :attr:`point_records`
+        (the run ledger's feed).  An ambient observer's tracer gets
+        point markers.  The points themselves are never touched.
     """
 
     def __init__(
@@ -445,14 +409,16 @@ class SweepExecutor:
         self.metrics = metrics
         self.reps = reps
         self.ci_width = ci_width
-        self.telemetry = telemetry
-        self.point_log = point_log
-        #: Parent-side per-point outcome records (``point_log`` or
-        #: ``telemetry`` set): the run ledger's input.
+        #: Per-point outcome records (``point_log``): the ledger's input.
         self.point_records: List[Dict[str, Any]] = []
-        self._armed_serial = False
-        #: Per-task walls of the most recent :meth:`_simulate` batch.
-        self._last_walls_s: List[float] = []
+        #: Lifecycle observers built from the arguments above.
+        self.subscribers: List[Subscriber] = []
+        if metrics is not None:
+            self.subscribers.append(MetricsProfile(metrics))
+        if point_log:
+            self.subscribers.append(PointRecords(self.point_records))
+        if telemetry is not None:
+            self.subscribers.append(TelemetryFeed(telemetry))
         self.stats = CacheStats()
         #: Violations collected from checked simulations (``check=True``).
         self.violations: List[Any] = []
@@ -466,14 +432,13 @@ class SweepExecutor:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down and release subscribers (idempotent)."""
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-        if self._armed_serial:
-            _live.disarm_worker()
-            self._armed_serial = False
+        for subscriber in self.subscribers:
+            subscriber.close()
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -492,19 +457,16 @@ class SweepExecutor:
         if self._pool is None:
             ctx = multiprocessing.get_context("spawn")
             self._pool_size = min(self.jobs, max(want, 1))
-            if self.telemetry is not None:
-                # Arm every worker as a telemetry emitter: the bounded
-                # queue inherits through initargs (the only channel a
-                # spawn worker can receive an mp.Queue over).
-                self._pool = ctx.Pool(
-                    processes=self._pool_size,
-                    initializer=_live.pool_worker_init,
-                    initargs=(self.telemetry.queue,
-                              self.telemetry.heartbeat_s),
-                )
-            else:
-                self._pool = ctx.Pool(processes=self._pool_size)
+            # A subscriber may arm every worker (the telemetry queue
+            # ships through initargs, the only way into a spawn worker).
+            init = next((s.pool_init for s in self.subscribers
+                         if s.pool_init), ())
+            self._pool = ctx.Pool(self._pool_size, *init)
         return self._pool
+
+    def publish(self, kind: str, **fields: Any) -> None:
+        """Hand a lifecycle event (e.g. a figure bracket) to subscribers."""
+        publish(self.subscribers, kind, **fields)
 
     # ------------------------------------------------------------- execution
     def run(
@@ -534,16 +496,17 @@ class SweepExecutor:
     def _run_base(self, tasks: Sequence[PointTask]) -> List[Any]:
         """Single-shot execution: one simulation (or cache hit) per task."""
         salt = code_salt()
-        lookup = self._lookup if self.metrics is None else self._lookup_profiled
-        # Outcome notes feed the ledger (point_log), the live stream
-        # (telemetry), and the trace's executor row (ambient observer).
-        live_on = (self.point_log or self.telemetry is not None
-                   or current_observer() is not None)
+        subs = self.subscribers
+        obs = current_observer()  # an ambient tracer gets point markers
+        if obs is not None and obs.tracer is not None:
+            subs = subs + [TraceMarkers(obs.tracer)]
         results: List[Any] = [None] * len(tasks)
         pending: List[Tuple[int, str, PointTask]] = []
         first_for_key: Dict[str, int] = {}
         duplicates: List[Tuple[int, int]] = []
-        n_hits = 0
+        hit_s: List[float] = []
+        miss_s: List[float] = []
+        evictions_before = self.stats.evictions
         for i, task in enumerate(tasks):
             key = task_key(task, salt)
             if key in first_for_key:
@@ -551,70 +514,34 @@ class SweepExecutor:
                 # once, copy after — and keep it out of the hit/miss stats
                 # so ``misses`` always equals the number of simulations.
                 duplicates.append((i, first_for_key[key]))
-                if live_on:
-                    self._note_outcome(key, task, "duplicate", None)
+                publish(subs, "point_cached", key=key, task=task,
+                        outcome="duplicate")
                 continue
-            point = lookup(key, task.kind)
+            t0_wall = time.perf_counter()
+            point = self._lookup(key, task.kind)
+            wall_s = time.perf_counter() - t0_wall
             if point is not None:
                 results[i] = point
-                n_hits += 1
-                if live_on:
-                    self._note_outcome(key, task, "hit", None)
+                hit_s.append(wall_s)
+                publish(subs, "point_cached", key=key, task=task,
+                        outcome="hit")
             else:
+                miss_s.append(wall_s)
                 first_for_key[key] = i
                 pending.append((i, key, task))
 
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "batch", n_tasks=len(tasks), n_hits=n_hits,
-                n_pending=len(pending),
-            )
+        pooled = self.jobs > 1 and len(pending) > 1
+        if pooled:
+            self._get_pool(len(pending))
+        publish(subs, "batch", n_tasks=len(tasks), n_hits=len(hit_s),
+                n_pending=len(pending), hit_s=hit_s, miss_s=miss_s,
+                evicted=self.stats.evictions - evictions_before,
+                slots=self._pool_size if pooled else 1)
         if pending:
-            fresh = self._simulate(
-                [t for _i, _k, t in pending],
-                keys=[k for _i, k, _t in pending],
-            )
-            for (i, key, task), point, wall_s in zip(
-                pending, fresh, self._last_walls_s
-            ):
-                results[i] = point
-                self._store(key, task.kind, point)
-                if live_on:
-                    self._note_outcome(key, task, "miss", wall_s)
+            self._simulate(pending, results, pooled, subs)
         for i, j in duplicates:
             results[i] = dataclasses.replace(results[j])
         return results
-
-    def _note_outcome(
-        self,
-        key: str,
-        task: PointTask,
-        outcome: str,
-        wall_s: Optional[float],
-    ) -> None:
-        """Record one parent-side point outcome (ledger + live stream)."""
-        self.point_records.append({
-            "key": key,
-            "kind": task.kind,
-            "system": task.system.name,
-            "outcome": outcome,
-            "wall_s": wall_s,
-            "seed": task.system.seed,
-        })
-        if outcome == "miss":
-            return
-        # Misses announce themselves from the worker (point_start /
-        # point_end); hits and duplicates never reach a worker, so the
-        # parent speaks for them.
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "point_cached", key=key, method=task.kind,
-                system=task.system.name, outcome=outcome,
-            )
-        obs = current_observer()
-        tracer = obs.tracer if obs is not None else None
-        if tracer is not None:
-            tracer.record(0.0, "executor", "point_cached", (task.kind,))
 
     def run_one(self, task: PointTask) -> Point:
         """Convenience wrapper: run a single task."""
@@ -712,17 +639,8 @@ class SweepExecutor:
         summary = summarize_replicates(
             docs, reason, disagreements=n_disagreements
         )
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("executor.replicates").inc(len(points))
-            metrics.histogram(
-                "executor.replicates_per_point", _REPLICATE_BUCKETS
-            ).observe(float(len(points)))
-            metrics.counter(_STOP_COUNTERS[reason]).inc()
-            if n_disagreements:
-                metrics.counter("executor.replication.disagreements").inc(
-                    n_disagreements
-                )
+        self.publish("replicated", reps=len(points), reason=reason,
+                     disagreements=n_disagreements)
         return dataclasses.replace(points[0], replication=summary)
 
     # -------------------------------------------------------------- plumbing
@@ -741,29 +659,6 @@ class SweepExecutor:
         self.stats.misses += 1
         return None
 
-    def _lookup_profiled(self, key: str, kind: str) -> Optional[Point]:
-        """:meth:`_lookup` wrapped in wall-clock metrics (``metrics`` set)."""
-        metrics = self.metrics
-        assert metrics is not None
-        evictions_before = self.stats.evictions
-        t0_wall = time.perf_counter()
-        point = self._lookup(key, kind)
-        wall_s = time.perf_counter() - t0_wall
-        if point is not None:
-            metrics.counter("executor.cache.hits").inc()
-            metrics.histogram(
-                "executor.lookup_hit_s", DEFAULT_LATENCY_BUCKETS_S
-            ).observe(wall_s)
-        else:
-            metrics.counter("executor.cache.misses").inc()
-            metrics.histogram(
-                "executor.lookup_miss_s", DEFAULT_LATENCY_BUCKETS_S
-            ).observe(wall_s)
-        evicted = self.stats.evictions - evictions_before
-        if evicted:
-            metrics.counter("executor.cache.evictions").inc(evicted)
-        return point
-
     def _store(self, key: str, kind: str, point: Point) -> None:
         if self.memoize:
             self._memo[key] = dataclasses.replace(point)
@@ -772,94 +667,37 @@ class SweepExecutor:
 
     def _simulate(
         self,
-        tasks: Sequence[PointTask],
-        keys: Optional[Sequence[str]] = None,
-    ) -> List[Any]:
-        metrics = self.metrics
-        telemetry = self.telemetry
-        timed = metrics is not None or telemetry is not None or self.point_log
-        live_entry = telemetry is not None and keys is not None
-        t_batch0_s = time.perf_counter() if timed else 0.0
-        entry = partial(_sim_entry, check=self.check, timed=timed)
-        pooled = self.jobs > 1 and len(tasks) > 1
+        pending: Sequence[Tuple[int, str, PointTask]],
+        results: List[Any],
+        pooled: bool,
+        subs: List[Subscriber],
+    ) -> None:
+        """Simulate a batch's misses (pooled or inline) into ``results``
+        and the cache, in task order."""
+        jobs = [(task, key) for _i, key, task in pending]
+        entry = partial(_sim_entry, check=self.check)
+        raw: Iterable[Tuple[Point, List[Any], float, int]]
         if pooled:
-            pool = self._get_pool(len(tasks))
+            assert self._pool is not None
             # chunksize=1: tasks are coarse (whole simulations); dynamic
             # dispatch balances wildly uneven point costs.  pool.map keeps
             # result order == task order, preserving determinism.
-            if live_entry:
-                assert keys is not None
-                raw = pool.map(
-                    partial(_sim_entry_live, check=self.check, timed=timed),
-                    list(zip(tasks, keys)),
-                    chunksize=1,
-                )
-            else:
-                raw = pool.map(entry, tasks, chunksize=1)
+            raw = self._pool.map(entry, jobs, chunksize=1)
         else:
-            if telemetry is not None and not _live.worker_armed():
-                # Serial path: the parent is the (sole) worker — arm it
-                # so lifecycle events and heartbeats flow the same way.
-                _live.arm_worker(telemetry.queue, telemetry.heartbeat_s)
-                self._armed_serial = True
-            # With an ambient observer, bracket each point's event stream
-            # with markers so attribution (repro.obs.attribution) can cut
-            # the merged stream back into sweep points.  Markers are
-            # emitted *around* simulation — they never touch it.
-            obs = current_observer()
-            tracer = obs.tracer if obs is not None else None
-            if tracer is None and not live_entry:
-                raw = [entry(t) for t in tasks]
-            else:
-                assert keys is not None or not live_entry
-                raw = []
-                for idx, t in enumerate(tasks):
-                    if tracer is not None:
-                        tracer.record(0.0, "executor", "point_start",
-                                      _point_marker(t))
-                    if live_entry:
-                        assert keys is not None
-                        raw.append(_sim_entry_live(
-                            (t, keys[idx]), check=self.check, timed=timed
-                        ))
-                    else:
-                        raw.append(entry(t))
-                    if tracer is not None:
-                        tracer.record(0.0, "executor", "point_end",
-                                      (t.kind,))
-        points: List[Any] = []
-        busy_s = 0.0
-        for point, violations, wall_s in raw:
-            points.append(point)
-            if violations:
-                self.violations.extend(violations)
-            busy_s += wall_s
-        self._last_walls_s = [wall_s for _point, _violations, wall_s in raw]
-        # Drain unconditionally so counts never leak into a later executor;
-        # pooled points tallied in worker processes are lost by design (see
-        # repro.core.accounting).
-        events = drain_events()
-        if metrics is not None:
-            if events:
-                metrics.counter("sim.events_processed").inc(events)
-            batch_wall_s = time.perf_counter() - t_batch0_s
-            metrics.counter("executor.batches").inc()
-            metrics.counter("executor.points_simulated").inc(len(tasks))
-            metrics.counter("executor.simulate_wall_s").inc(batch_wall_s)
-            task_hist = metrics.histogram(
-                "executor.task_wall_s", DEFAULT_LATENCY_BUCKETS_S
-            )
-            for _point, _violations, wall_s in raw:
-                task_hist.observe(wall_s)
-            # Fraction of the batch's worker-slot capacity spent simulating
-            # (1.0 = perfectly packed; low values = stragglers or idle
-            # workers).  Serial batches have exactly one slot.
-            slots = self._pool_size if pooled else 1
-            if batch_wall_s > 0:
-                metrics.gauge("executor.fanout_utilization").set(
-                    busy_s / (batch_wall_s * slots)
-                )
-        return points
+            def inline() -> Iterator[Tuple[Point, List[Any], float, int]]:
+                for task, key in jobs:  # announced as this process starts it
+                    publish(subs, "point_start", key=key, task=task,
+                            marker=_point_marker(task))
+                    yield entry((task, key))
+
+            raw = inline()
+        for (i, key, task), (point, violations, wall_s, events) in zip(
+                pending, raw):
+            results[i] = point
+            self._store(key, task.kind, point)
+            self.violations.extend(violations)
+            publish(subs, "point_end", key=key, task=task, wall_s=wall_s,
+                    events=events)
 
 
 # --------------------------------------------------------- default resolution

@@ -11,10 +11,10 @@ depending on ``--jobs``, which is exactly the failure mode the point
 cache's determinism guarantee exists to exclude.
 
 EXEC001 reads the executor module for ground truth (the
-``functools.partial`` worker entry, ``run_task``/``run_task_checked``,
-and the runner names in ``_METHODS`` — the same idiom CACHE001 uses),
-builds a name-based over-approximate call graph across the linted set,
-and flags every worker-reachable function that
+``functools.partial`` worker entry, ``run_task``, and the runner names
+in ``_METHODS`` — the same idiom CACHE001 uses), builds a name-based
+over-approximate call graph across the linted set, and flags every
+worker-reachable function that
 
 * rebinds a ``global`` name, or
 * mutates a module-level container (``.append``/``.update``/
@@ -199,9 +199,8 @@ class WorkerSharedStateRule(ProjectRule):
                         and isinstance(value.elts[1], ast.Name)
                     ):
                         names.add(value.elts[1].id)
-            elif isinstance(node, ast.FunctionDef) and node.name in {
-                "run_task", "run_task_checked"
-            }:
+            elif (isinstance(node, ast.FunctionDef)
+                  and node.name == "run_task"):
                 names.add(node.name)
         return names
 

@@ -84,6 +84,11 @@ class RunLedger:
             "figure": figure,
         })
 
+    def record_points(self, records: List[Dict[str, Any]]) -> None:
+        """Every record of an executor's ``point_records``, in order."""
+        for record in records:
+            self.record_point(**record)
+
     def record_run(
         self,
         wall_s: float,

@@ -17,11 +17,11 @@ telemetry was lost, even under saturation.  Lifecycle events
 (``point_start`` / ``point_end``) block for at most
 :data:`LIFECYCLE_PUT_TIMEOUT_S` before dropping; heartbeats never block.
 
-Telemetry is observation-only and strictly detachable: with no channel
-attached the executor takes its exact previous code path, and simulated
-results are bit-identical with or without a channel (the stream carries
-wall-clock metadata *about* points, never anything that feeds back into
-them).
+Telemetry is observation-only and strictly detachable: the executor
+reaches the channel through one lifecycle subscriber
+(:class:`~repro.obs.lifecycle.TelemetryFeed`), and simulated results are
+bit-identical with or without it (the stream carries wall-clock metadata
+*about* points, never anything that feeds back into them).
 
 The NDJSON stream schema (one JSON object per line, every line stamped
 ``"v": TELEMETRY_SCHEMA_VERSION``) is declared in
@@ -135,11 +135,7 @@ def validate_stream_line(line: str) -> List[str]:
 
 
 def make_event(kind: str, **fields: Any) -> Dict[str, Any]:
-    """A schema-stamped stream event (for parent-side synthetic kinds)."""
-    return _build_event(kind, fields)
-
-
-def _build_event(kind: str, fields: Mapping[str, Any]) -> Dict[str, Any]:
+    """A schema-stamped stream event."""
     doc: Dict[str, Any] = {
         "v": TELEMETRY_SCHEMA_VERSION,
         "kind": kind,
@@ -148,6 +144,25 @@ def _build_event(kind: str, fields: Mapping[str, Any]) -> Dict[str, Any]:
     }
     doc.update(fields)
     return doc
+
+
+def _put(out_queue: Any, dropped: Dict[str, int], kind: str,
+         fields: Mapping[str, Any], block: bool) -> bool:
+    """Enqueue one event; on a full queue, drop it and count it in
+    ``dropped``.  ``block`` waits at most :data:`LIFECYCLE_PUT_TIMEOUT_S`.
+    Never raises on saturation — telemetry must not stall the sweep."""
+    doc = make_event(kind, **fields)
+    try:
+        if block:
+            out_queue.put(doc, timeout=LIFECYCLE_PUT_TIMEOUT_S)
+        else:
+            out_queue.put_nowait(doc)
+        return True
+    except queue_mod.Full:
+        dropped[kind] = dropped.get(kind, 0) + 1
+        return False
+    except (OSError, ValueError):  # pragma: no cover - queue torn down
+        return False
 
 
 class TelemetryChannel:
@@ -177,29 +192,12 @@ class TelemetryChannel:
 
     # ---------------------------------------------------------------- emit
     def emit(self, kind: str, **fields: Any) -> bool:
-        """Enqueue one event; on a full queue, drop it and count.
-
-        Returns ``True`` when the event was enqueued.  Never blocks
-        beyond :data:`LIFECYCLE_PUT_TIMEOUT_S` and never raises on
-        saturation — telemetry must not be able to stall the sweep.
-        """
-        doc = _build_event(kind, fields)
-        try:
-            self.queue.put(doc, timeout=LIFECYCLE_PUT_TIMEOUT_S)
-            return True
-        except queue_mod.Full:
-            self.dropped[kind] = self.dropped.get(kind, 0) + 1
-            return False
+        """Enqueue one event (see :func:`_put`); ``True`` when enqueued."""
+        return _put(self.queue, self.dropped, kind, fields, True)
 
     def emit_nowait(self, kind: str, **fields: Any) -> bool:
         """Like :meth:`emit` but without any blocking grace."""
-        doc = _build_event(kind, fields)
-        try:
-            self.queue.put_nowait(doc)
-            return True
-        except queue_mod.Full:
-            self.dropped[kind] = self.dropped.get(kind, 0) + 1
-            return False
+        return _put(self.queue, self.dropped, kind, fields, False)
 
     # --------------------------------------------------------------- drain
     def drain(self, timeout_s: float = 0.2) -> Optional[Dict[str, Any]]:
@@ -212,11 +210,7 @@ class TelemetryChannel:
 
     def drain_nowait(self) -> Optional[Dict[str, Any]]:
         """Next pending event, or ``None`` immediately."""
-        try:
-            doc = self.queue.get_nowait()
-            return doc if isinstance(doc, dict) else None
-        except queue_mod.Empty:
-            return None
+        return self.drain(timeout_s=0.0)
 
     def close(self) -> None:
         """Release the queue's resources (idempotent)."""
@@ -250,21 +244,6 @@ class _WorkerState:
         self.points_done = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-
-    # ---------------------------------------------------------------- emit
-    def emit(self, kind: str, block: bool, fields: Dict[str, Any]) -> bool:
-        doc = _build_event(kind, fields)
-        try:
-            if block:
-                self.queue.put(doc, timeout=LIFECYCLE_PUT_TIMEOUT_S)
-            else:
-                self.queue.put_nowait(doc)
-            return True
-        except queue_mod.Full:
-            self.dropped[kind] = self.dropped.get(kind, 0) + 1
-            return False
-        except (OSError, ValueError):  # pragma: no cover - parent gone
-            return False
 
     def drops_snapshot(self) -> Dict[str, int]:
         return dict(sorted(self.dropped.items()))
@@ -311,7 +290,8 @@ class _WorkerState:
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_s):
-            self.emit("heartbeat", False, self.heartbeat_fields())
+            _put(self.queue, self.dropped, "heartbeat",
+                 self.heartbeat_fields(), False)
 
 
 #: The armed emitter of this process, if any.  Written only while a
@@ -359,7 +339,7 @@ def note_point_start(key: str, method: str, fields: Dict[str, Any]) -> None:
     worker.current = (key, method, time.time())
     payload = dict(fields)
     payload.update({"key": key, "method": method})
-    worker.emit("point_start", True, payload)
+    _put(worker.queue, worker.dropped, "point_start", payload, True)
 
 
 def note_point_end(key: str, method: str, wall_s: float) -> None:
@@ -375,13 +355,13 @@ def note_point_end(key: str, method: str, wall_s: float) -> None:
     worker.current = None
     worker.points_done += 1
     worker.engine = None
-    worker.emit("point_end", True, {
+    _put(worker.queue, worker.dropped, "point_end", {
         "key": key,
         "method": method,
         "wall_s": wall_s,
         "points_done": worker.points_done,
         "dropped": worker.drops_snapshot(),
-    })
+    }, True)
 
 
 def worker_armed() -> bool:

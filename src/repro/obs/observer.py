@@ -96,22 +96,13 @@ class Observer:
         engine = world.engine
         for ep in world.endpoints:
             dev = ep.device
-            for attr in ("posted", "k_posted"):
+            for attr in ("posted", "k_posted", "unexpected", "k_unexpected"):
                 q = getattr(dev, attr, None)
                 if q is not None:
-                    q.observer = _chain(
-                        q.observer,
-                        self._queue_observer(engine, f"rank{dev.rank}.{attr}"),
-                    )
-            for attr in ("unexpected", "k_unexpected"):
-                q = getattr(dev, attr, None)
-                if q is not None:
-                    q.observer = _chain(
-                        q.observer,
-                        self._queue_observer(
-                            engine, f"rank{dev.rank}.{attr}", unexpected=True
-                        ),
-                    )
+                    q.observer = _chain(q.observer, self._queue_observer(
+                        engine, f"rank{dev.rank}.{attr}",
+                        unexpected=attr.endswith("unexpected"),
+                    ))
 
     def _queue_observer(
         self, engine: Any, source: str, unexpected: bool = False

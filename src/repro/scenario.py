@@ -256,12 +256,7 @@ def run_scenario(spec: Union[Dict, str, Path], ledger: Any = None) -> Dict:
         from . import compiled
 
         if executor is not None:
-            for point in executor.point_records:
-                ledger.record_point(
-                    key=point["key"], kind=point["kind"],
-                    system=point["system"], outcome=point["outcome"],
-                    wall_s=point["wall_s"], seed=point["seed"],
-                )
+            ledger.record_points(executor.point_records)
         ledger.record_run(
             wall_s=round(_time.perf_counter() - t0_wall, 4),
             timestamp=datetime.now(timezone.utc).isoformat(

@@ -167,6 +167,15 @@ class TestSimulationProfiling:
         assert 0.0 < util <= 1.0
         assert reg.counter("executor.points_simulated").value == len(TASKS)
 
+    def test_pooled_event_counts_match_serial(self):
+        serial, pooled = MetricsRegistry(), MetricsRegistry()
+        SweepExecutor(metrics=serial).run(TASKS)
+        with SweepExecutor(jobs=2, metrics=pooled) as ex:
+            ex.run(TASKS)
+        events = serial.counter("sim.events_processed").value
+        assert events > 0
+        assert pooled.counter("sim.events_processed").value == events
+
     def test_cached_second_run_simulates_nothing(self):
         reg = MetricsRegistry()
         ex = SweepExecutor(metrics=reg)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core import PointCache, PointTask, SweepExecutor
+from repro.core import PointCache, PointTask, PollingConfig, SweepExecutor
 from repro.core.executor import task_key
 from repro.mpi.collectives import allreduce_msgs, allreduce_rd_msgs
 from repro.patterns import (
@@ -19,6 +19,7 @@ from repro.patterns import (
 )
 from repro.patterns.allreduce import expected_allreduce_msgs
 from repro.patterns.config import validate_config
+from repro.patterns.fanin import run_fanin_polling
 from repro.patterns.halo import HaloPlan
 from repro.patterns.sweep import SweepPlan
 
@@ -277,3 +278,58 @@ class TestScalingFigures:
 
         with pytest.raises(KeyError, match="scale_halo"):
             run_figure("fig99")
+
+
+# Fan-in needs longer windows: more messages in flight means larger
+# window-edge bias at short measures.
+FANIN_CFG = PollingConfig(msg_bytes=100 * KB, poll_interval_iters=1_000,
+                          measure_s=0.1, warmup_s=0.02)
+
+
+class TestFanInValidation:
+    def test_zero_peers_rejected(self, gm):
+        with pytest.raises(ValueError):
+            run_fanin_polling(gm, FANIN_CFG, 0)
+
+    def test_too_many_peers_rejected(self, gm):
+        with pytest.raises(ValueError):
+            run_fanin_polling(gm, FANIN_CFG, 8)  # 8 peers + worker > 8 ports
+
+
+class TestFanIn:
+    def test_single_peer_matches_two_node_comb(self, gm):
+        """n_peers=1 must be the ordinary polling method."""
+        from repro.core import run_polling
+
+        fan = run_fanin_polling(gm, FANIN_CFG, 1)
+        two = run_polling(gm, FANIN_CFG)
+        assert fan.point.bandwidth_Bps == pytest.approx(
+            two.bandwidth_Bps, rel=0.02
+        )
+        assert fan.point.availability == pytest.approx(
+            two.availability, abs=0.02
+        )
+
+    def test_gm_stays_bus_bound(self, gm):
+        """More peers cannot push GM past the worker's host bus, and the
+        worker's availability barely moves (no interrupts)."""
+        one = run_fanin_polling(gm, FANIN_CFG, 1)
+        seven = run_fanin_polling(gm, FANIN_CFG, 7)
+        bus = gm.machine.nic.host_dma_bandwidth_Bps
+        assert seven.point.bandwidth_Bps <= bus * 1.05
+        assert seven.point.availability == pytest.approx(
+            one.point.availability, abs=0.05
+        )
+
+    def test_portals_worker_cpu_saturates(self, portals):
+        """Fan-in drives the kernel share up: availability falls while
+        aggregate bandwidth gains little."""
+        one = run_fanin_polling(portals, FANIN_CFG, 1)
+        seven = run_fanin_polling(portals, FANIN_CFG, 7)
+        assert seven.point.availability < one.point.availability
+        assert seven.point.bandwidth_Bps < 1.6 * one.point.bandwidth_Bps
+
+    def test_per_peer_bandwidth_dilutes(self, portals):
+        seven = run_fanin_polling(portals, FANIN_CFG, 7)
+        one = run_fanin_polling(portals, FANIN_CFG, 1)
+        assert seven.per_peer_bandwidth_Bps < 0.5 * one.per_peer_bandwidth_Bps
