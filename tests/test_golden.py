@@ -22,6 +22,7 @@ import pytest
 from repro.baselines import run_pingpong
 from repro.config import gm_system, portals_system
 from repro.core import PollingConfig, PwwConfig, run_polling, run_pww
+from repro.core.accounting import drain_events
 from repro.obs import Observer, use_observer
 from repro.patterns import PatternConfig, run_pattern
 
@@ -70,6 +71,26 @@ def compute_current() -> dict:
             "msgs": pt.msgs,
             "interrupts": pt.interrupts,
         }
+    # Routed multi-hop points: 8 ranks on a k=4 fat-tree put most traffic
+    # on inter-edge routes (edge -> core -> edge), the per-packet wire
+    # path that burst batching never arms on.  The dispatched-event count
+    # is pinned too: the routed path's event structure is part of the
+    # contract, not just its timing.
+    for name, factory, pattern in (("GM", gm_system, "halo3d"),
+                                   ("Portals", portals_system, "allreduce")):
+        drain_events()
+        pt = run_pattern(factory(), PatternConfig(
+            pattern=pattern, ranks=8, msg_bytes=100 * KB,
+            work_interval_iters=100_000, iterations=4, warmup_iterations=1,
+            topology="fattree", arity=4,
+        ))
+        out[f"{name}.pattern.{pattern}.8r.fattree4"] = {
+            "availability": pt.availability,
+            "bandwidth_Bps": pt.bandwidth_Bps,
+            "msgs": pt.msgs,
+            "interrupts": pt.interrupts,
+            "events_processed": drain_events(),
+        }
     return out
 
 
@@ -96,6 +117,8 @@ def test_golden_keys_match(current, golden):
     "Portals.pingpong.100KB",
     "GM.pattern.halo2d.4r",
     "Portals.pattern.allreduce.4r",
+    "GM.pattern.halo3d.8r.fattree4",
+    "Portals.pattern.allreduce.8r.fattree4",
 ])
 def test_golden_values_exact(current, golden, key):
     for field, expected in golden[key].items():
@@ -132,6 +155,8 @@ def test_observed_keys_match(observed, golden):
     "Portals.pingpong.100KB",
     "GM.pattern.halo2d.4r",
     "Portals.pattern.allreduce.4r",
+    "GM.pattern.halo3d.8r.fattree4",
+    "Portals.pattern.allreduce.8r.fattree4",
 ])
 def test_observed_values_bit_identical(observed, golden, key):
     """Tracing + metrics attached must change *nothing* it observes:

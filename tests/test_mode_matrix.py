@@ -24,6 +24,9 @@ the same zero-width CIs).
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro import compiled
@@ -31,14 +34,21 @@ from repro.config import gm_system, portals_system
 from repro.core import PointTask, PollingConfig, SweepExecutor
 from repro.obs import Observer, use_observer
 
+from repro.obs.lifecycle import Subscriber
+
 from tests.test_verify_golden_drift import (
     ALLREDUCE_CFG,
+    GOLDEN_PATH,
     HALO_CFG,
     POLL_CFG,
     PWW_CFG,
 )
 
 KB = 1024
+
+#: 8 ranks on a k=4 fat-tree: most traffic crosses edge -> core -> edge,
+#: the routed per-packet wire path (no mode arms burst batching there).
+_FATTREE8 = dict(ranks=8, topology="fattree", arity=4)
 
 #: The full golden matrix: every recorded sweep and pattern point.
 GOLDEN_TASKS = {
@@ -49,6 +59,19 @@ GOLDEN_TASKS = {
     "GM.halo2d": PointTask("pattern", gm_system(), HALO_CFG),
     "Portals.allreduce": PointTask("pattern", portals_system(),
                                    ALLREDUCE_CFG),
+    "GM.halo3d.fattree": PointTask(
+        "pattern", gm_system(),
+        dataclasses.replace(HALO_CFG, pattern="halo3d", **_FATTREE8)),
+    "Portals.allreduce.fattree": PointTask(
+        "pattern", portals_system(),
+        dataclasses.replace(ALLREDUCE_CFG, **_FATTREE8)),
+}
+
+#: Routed rows -> their golden entry, which records the dispatched-event
+#: count: identical in every mode, since none arms a fast path there.
+ROUTED_GOLDEN_KEYS = {
+    "GM.halo3d.fattree": "GM.pattern.halo3d.8r.fattree4",
+    "Portals.allreduce.fattree": "Portals.pattern.allreduce.8r.fattree4",
 }
 
 #: Quick point for the replicated row (sub-second, still full-path).
@@ -58,15 +81,30 @@ QUICK_CFG = PollingConfig(msg_bytes=50 * KB, poll_interval_iters=1_000,
 MODES = ("pure", "checked", "traced")
 
 
-def _run_mode(mode: str, tasks, reps: int = 1):
+class _EventTap(Subscriber):
+    """Collects each simulated point's dispatched-event count, in order."""
+
+    def __init__(self):
+        self.events = []
+
+    def __call__(self, kind, fields):
+        if kind == "point_end":
+            self.events.append(fields["events"])
+
+
+def _run_mode(mode: str, tasks, reps: int = 1, tap=None):
     """All ``tasks`` under one execution mode, as result dicts."""
     if mode == "checked":
         with SweepExecutor(jobs=1, check=True) as ex:
+            if tap is not None:
+                ex.subscribers.append(tap)
             points = ex.run(tasks, reps=reps)
             assert ex.violations == [], ex.violations
             assert ex.disagreements == [], ex.disagreements
         return [p.to_dict() for p in points]
     ex = SweepExecutor(jobs=1)
+    if tap is not None:
+        ex.subscribers.append(tap)
     if mode == "traced":
         with use_observer(Observer()):
             points = ex.run(tasks, reps=reps)
@@ -77,10 +115,21 @@ def _run_mode(mode: str, tasks, reps: int = 1):
 
 
 @pytest.fixture(scope="module")
-def matrix():
-    """{mode: [result dict per golden task]} — each mode simulated once."""
+def matrix_and_events():
+    """({mode: [result dict per golden task]}, {mode: [events per task]})
+    — each mode simulated once."""
     tasks = list(GOLDEN_TASKS.values())
-    return {mode: _run_mode(mode, tasks) for mode in MODES}
+    docs, events = {}, {}
+    for mode in MODES:
+        tap = _EventTap()
+        docs[mode] = _run_mode(mode, tasks, tap=tap)
+        events[mode] = tap.events
+    return docs, events
+
+
+@pytest.fixture(scope="module")
+def matrix(matrix_and_events):
+    return matrix_and_events[0]
 
 
 @pytest.mark.parametrize("point_index,point_id",
@@ -95,6 +144,20 @@ def test_modes_bit_identical_pairwise(matrix, point_index, point_id,
     doc_a = matrix[mode_a][point_index]
     doc_b = matrix[mode_b][point_index]
     assert doc_a == doc_b, (point_id, mode_a, mode_b)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("point_id", sorted(ROUTED_GOLDEN_KEYS))
+def test_routed_points_dispatch_recorded_event_count(matrix_and_events,
+                                                     point_id, mode):
+    """The routed wire path's event structure is pinned, not just its
+    timing: every mode dispatches exactly the recorded heap events."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    events = matrix_and_events[1][mode]
+    assert len(events) == len(GOLDEN_TASKS)
+    index = list(GOLDEN_TASKS).index(point_id)
+    want = golden[ROUTED_GOLDEN_KEYS[point_id]]["events_processed"]
+    assert events[index] == want, (point_id, mode)
 
 
 def test_compiled_leg_visible(matrix):

@@ -70,19 +70,32 @@ def _run_pattern_with(system, cfg, stepped: bool):
     return _assemble(system, cfg, samples), world.engine.events_processed
 
 
-@pytest.mark.parametrize("pattern,kwargs", [
-    ("halo2d", dict(ranks=4)),
-    ("allreduce", dict(ranks=5, algorithm="rd")),
-], ids=["halo", "allreduce"])
+#: 8 ranks on a k=4 fat-tree: most traffic takes the routed inter-edge
+#: path (edge -> core -> edge), one NIC transmit pump per rank.
+FATTREE8 = dict(ranks=8, topology="fattree", arity=4)
+
+
+@pytest.mark.parametrize("pattern,kwargs,events", [
+    ("halo2d", dict(ranks=4), None),
+    ("allreduce", dict(ranks=5, algorithm="rd"), None),
+    # Routed points pin their dispatched-event count per system: the
+    # routed wire path's event structure is part of the contract.
+    ("halo3d", FATTREE8, {"GM": 9373, "Portals": 13664}),
+    ("allreduce", FATTREE8, {"GM": 5653, "Portals": 8010}),
+], ids=["halo", "allreduce", "halo3d-fattree", "allreduce-fattree"])
 @pytest.mark.parametrize("factory", [gm_system, portals_system],
                          ids=["gm", "portals"])
-def test_stepped_pattern_run_is_byte_identical(factory, pattern, kwargs):
+def test_stepped_pattern_run_is_byte_identical(factory, pattern, kwargs,
+                                               events):
     # The N-rank completion path (all_of) exercises run()'s multi-waiter
     # bookkeeping, which the two-rank polling scenario above never hits.
     cfg = PatternConfig(pattern=pattern, msg_bytes=20 * KB,
                         work_interval_iters=20_000, iterations=3,
                         warmup_iterations=1, **kwargs)
-    via_run, n_run = _run_pattern_with(factory(), cfg, stepped=False)
-    via_step, n_step = _run_pattern_with(factory(), cfg, stepped=True)
+    system = factory()
+    via_run, n_run = _run_pattern_with(system, cfg, stepped=False)
+    via_step, n_step = _run_pattern_with(system, cfg, stepped=True)
     assert via_step == via_run
     assert n_step == n_run
+    if events is not None:
+        assert n_run == events[system.name]
