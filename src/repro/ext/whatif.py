@@ -14,7 +14,7 @@ These exercise the simulator beyond the paper's two measured systems:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Type
+from typing import Dict, List, Optional, Type
 
 from ..config import InterruptConfig, SystemConfig, portals_system
 from ..hardware.cluster import Cluster
@@ -22,6 +22,7 @@ from ..hardware.memory import copy_time
 from ..mpi.api import Endpoint
 from ..mpi.world import World, register_device
 from ..sim.engine import Engine
+from ..sim.events import Event
 from ..sim.units import usec
 from ..transport.base import Device
 from ..transport.packets import Packet, PacketKind
@@ -69,20 +70,9 @@ class OffloadNicDevice(PortalsDevice):
                 lambda p=pkt: self._on_ack(p.src, p.meta["cum"]),
             )
 
-    def _tx_pump(self):
+    def _tx_admit(self, pkt: Packet) -> Optional[Event]:
         """NIC-side transmit: no kernel work per packet."""
-        from ..hardware.nic import SendJob
-
-        while True:
-            req, pkts = yield self._txq.get()
-            for pkt in pkts:
-                yield self._gbn_slot(pkt.dst)
-                pkt.meta["seq"] = self._tx_flow(pkt.dst).register(pkt)
-                on_done = (
-                    (lambda r=req: self._tx_done(r)) if pkt.is_last else None
-                )
-                self.node.nic.submit(SendJob([pkt], on_done=on_done))
-                self._arm_rto(pkt.dst)
+        return None
 
 
 def offload_nic_system() -> SystemConfig:

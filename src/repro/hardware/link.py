@@ -11,6 +11,7 @@ from typing import Callable, Optional
 
 from ..config import NicConfig
 from ..sim.engine import Engine
+from ..sim.events import post
 from ..sim.resources import Pipe
 from ..transport.packets import Packet, PacketKind
 
@@ -78,6 +79,15 @@ class Link:
             self.tracer.record(self.engine.now, self.name, "wire_tx",
                                (packet.kind.value, packet.msg_id, packet.index))
         ev.callbacks.append(self._on_delivered)
+
+    def send_after(self, delay_s: float, packet: Packet) -> None:
+        """:meth:`send` ``packet`` after ``delay_s`` — a switch's
+        cut-through forwarding latency: one heap event carrying the
+        packet."""
+        post(self.engine, packet, self._send_cb, delay_s)
+
+    def _send_cb(self, ev) -> None:
+        self.send(ev._value)
 
     def _on_delivered(self, ev) -> None:
         packet: Packet = ev.value

@@ -74,6 +74,4 @@ class Switch:
             ) from None
         self.packets_forwarded += 1
         # Cut-through forwarding latency, then serialize on the output link.
-        self.engine.schedule_callback(
-            self.config.latency_s, lambda p=packet: out.send(p)
-        )
+        out.send_after(self.config.latency_s, packet)

@@ -110,10 +110,11 @@ class Crossbar(Topology):
             cluster.nodes.append(node)
         if n_nodes == 2 and tracer is None and engine.trace is None:
             # Exclusive routes: each wire carries exactly one sender's
-            # traffic, so the NICs can run the event-lean fast pump and
-            # burst-batch multi-fragment messages (see NIC.enable_fast).
-            # Traced runs keep the legacy per-packet path so observer and
-            # sanitizer see the exact per-packet record stream.
+            # traffic, so the NICs can merge emission into the wire
+            # reservation and burst-batch multi-fragment messages (see
+            # NIC.enable_fast).  Traced runs keep the routed per-packet
+            # emission so observer and sanitizer see the exact per-packet
+            # record stream.
             from ..sim.resources import BurstDomain
 
             domain = BurstDomain()
@@ -201,9 +202,7 @@ class TreeSwitch:
             ) from None
         self.packets_forwarded += 1
         # Cut-through forwarding latency, then serialize on the output link.
-        self.engine.schedule_callback(
-            self.config.latency_s, lambda p=packet: out.send(p)
-        )
+        out.send_after(self.config.latency_s, packet)
 
 
 class FatTree(Topology):

@@ -185,6 +185,29 @@ class Timeout(Event):
         raise SimulationError("a Timeout is triggered at creation time")
 
 
+def post(
+    engine: "Engine",
+    value: Any,
+    callback: Callable[[Event], None],
+    delay_s: float = 0.0,
+    priority: int = PRIORITY_NORMAL,
+) -> Event:
+    """Schedule a pre-triggered event: after ``delay_s``, ``callback``
+    runs with the event, whose ``_value`` is ``value``.
+
+    The lean form of ``engine.timeout(delay_s)`` plus a closure: the same
+    ``(when, priority, seq)`` heap key, without the wrapper class or a
+    per-call lambda — hot model paths carry their continuation state in
+    ``value`` and register a bound method.
+    """
+    ev = Event(engine)
+    ev._ok = True
+    ev._value = value
+    ev.callbacks.append(callback)
+    engine._enqueue(ev, priority, delay_s)
+    return ev
+
+
 class Condition(Event):
     """Composite event that fires when ``evaluate`` is satisfied.
 

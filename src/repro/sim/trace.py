@@ -27,7 +27,7 @@ class TraceRecord:
     time:
         Simulation time of the occurrence.
     source:
-        Name of the emitting component (e.g. ``"node0.nic.tx"``).
+        Name of the emitting component (e.g. ``"node0.nic"``).
     kind:
         Short event-kind tag (e.g. ``"packet_tx"``, ``"irq"``).
     detail:

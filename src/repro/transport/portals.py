@@ -214,17 +214,18 @@ class PortalsDevice(Device):
         """Kernel transmit pump: window-limited, per-packet driver work.
 
         Each packet is admitted into the destination's go-back-N window
-        (blocking while it is full), tagged with its sequence number, and
-        handed to the NIC; the retransmission timer covers it until the
+        (blocking while it is full), charged its driver work
+        (:meth:`_tx_admit`), tagged with its sequence number, and handed
+        to the NIC; the retransmission timer covers it until the
         cumulative ack arrives.
         """
-        p = self.params
-        cpu = self.node.cpu
         while True:
             req, pkts = yield self._txq.get()
             for pkt in pkts:
                 yield self._gbn_slot(pkt.dst)
-                yield cpu.kernel_work(p.tx_kernel_s, label="tx_kernel")
+                admitted = self._tx_admit(pkt)
+                if admitted is not None:
+                    yield admitted
                 flow = self._tx_flow(pkt.dst)
                 pkt.meta["seq"] = flow.register(pkt)
                 on_done = None
@@ -235,6 +236,12 @@ class PortalsDevice(Device):
                     on_done = (lambda r=req: self._tx_done(r))
                 self.node.nic.submit(SendJob([pkt], on_done=on_done))
                 self._arm_rto(pkt.dst)
+
+    def _tx_admit(self, pkt: Packet) -> Optional[Event]:
+        """Per-packet driver work before ``pkt`` goes to the NIC (the
+        event to wait on), or ``None`` when there is none."""
+        return self.node.cpu.kernel_work(self.params.tx_kernel_s,
+                                         label="tx_kernel")
 
     def _tx_done(self, req: Request) -> None:
         if not req.done:
