@@ -38,10 +38,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import (
-    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 from ..config import SystemConfig
@@ -175,20 +177,152 @@ def _sim_entry(
 
 
 # --------------------------------------------------------------------- keys
-def _jsonable(value: Any) -> Any:
-    """Canonical JSON-ready form of a config value (stable across runs)."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
-    return value
+# A cache key hashes the canonical JSON text of its task: every dataclass
+# an object of its fields, enums their values, sequences arrays, keys
+# sorted, written exactly as ``json.dumps(..., sort_keys=True,
+# separators=(",", ":"))`` writes them.  The encoder below writes that
+# text directly.  Encoders are chosen by exact type (dataclass types get
+# their sorted field plan once), and a frozen config keeps its text as
+# an attribute of its own (set with ``object.__setattr__``, as a frozen
+# dataclass's ``__init__`` sets its fields), so the sub-configs every
+# task of a figure shares are encoded once, not once per lookup.  Frozen
+# fields never change, so the text stays valid; it lives exactly as long
+# as its config.  The instance ``__dict__`` is never touched: CPython
+# builds it on first access, after which every attribute read of that
+# config (the simulation reads them constantly) gets about 3x slower.
+# There is deliberately no memo keyed by value: configs that compare
+# equal can still differ in leaf type (``4096`` vs ``4096.0``) and
+# therefore in key.
+
+#: Attribute holding a frozen config's text.  Not an identifier, so it
+#: can never shadow a field.
+_TEXT_ATTR = "<task_key text>"
+
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    """``json.dumps``'s spelling of a float."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _members(pairs: Iterable[Tuple[str, str]]) -> str:
+    """A JSON object from ``(name, encoded value)`` pairs in key order."""
+    return "{" + ",".join([
+        encode_basestring_ascii(name) + ":" + text for name, text in pairs
+    ]) + "}"
+
+
+def _encode_seq(value: Sequence[Any]) -> str:
+    return "[" + ",".join(map(_encode, value)) + "]"
+
+
+def _encode_dict(value: Dict[Any, Any]) -> str:
+    keyed = {str(k): v for k, v in sorted(value.items())}
+    return _members((k, _encode(v)) for k, v in sorted(keyed.items()))
+
+
+def _encode_enum(value: Enum) -> str:
+    return _encode(value.value)
+
+
+def _immutable(value: Any) -> bool:
+    """Can ``value``'s text never change (so a frozen parent may keep
+    its own)?  Leaves, enums, tuples of such, and configs holding text."""
+    if type(value) in _IMMUTABLE_LEAVES or isinstance(value, Enum):
+        return True
+    if type(value) is tuple:
+        return all(map(_immutable, value))
+    return getattr(value, _TEXT_ATTR, None) is not None
+
+
+def _encode_dataclass(
+    frozen: bool, plan: Tuple[Tuple[str, str], ...], value: Any
+) -> str:
+    """A dataclass's text from its type's ``(prefix, field)`` plan; a
+    frozen one keeps it when nothing inside can change."""
+    if frozen:
+        text = getattr(value, _TEXT_ATTR, None)
+        if text is not None:
+            return text
+    keep = frozen
+    text = ""
+    for prefix, name in plan:  # the hot loop: leaves skip _encode
+        field_value = getattr(value, name)
+        cls = type(field_value)
+        if cls in _IMMUTABLE_LEAVES:
+            text += prefix + _LEAVES[cls](field_value)
+            continue
+        field_text = getattr(field_value, _TEXT_ATTR, None)
+        if field_text is None:
+            field_text = _encode(field_value)
+            keep = keep and _immutable(field_value)
+        text += prefix + field_text
+    text = text + "}" if plan else "{}"
+    if keep:
+        try:
+            object.__setattr__(value, _TEXT_ATTR, text)
+        except AttributeError:  # ``__slots__`` leave no room: re-encode
+            pass
+    return text
+
+
+@lru_cache(maxsize=None)
+def _encoder_for(cls: type) -> Callable[[Any], str]:
+    """The encoder for a type outside :data:`_LEAVES`, chosen in the
+    precedence of the reference ``_jsonable`` + ``json.dumps``."""
+    if dataclasses.is_dataclass(cls):
+        names = sorted(f.name for f in dataclasses.fields(cls))
+        plan = tuple(
+            (("{" if i == 0 else ",") + encode_basestring_ascii(name) + ":",
+             name)
+            for i, name in enumerate(names)
+        )
+        frozen = getattr(cls, "__dataclass_params__").frozen
+        return partial(_encode_dataclass, frozen, plan)
+    if issubclass(cls, Enum):
+        return _encode_enum
+    if issubclass(cls, (list, tuple)):
+        return _encode_seq
+    if issubclass(cls, dict):
+        return _encode_dict
+    if issubclass(cls, str):
+        return encode_basestring_ascii
+    if issubclass(cls, int):
+        return int.__repr__
+    if issubclass(cls, float):
+        return _float_text
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
+def _encode(value: Any) -> str:
+    """Canonical JSON text of a config value (see the section comment)."""
+    encoder = _LEAVES.get(type(value))
+    if encoder is None:
+        encoder = _encoder_for(type(value))
+    return encoder(value)
+
+
+#: Leaf types whose text can never change.
+_IMMUTABLE_LEAVES = (str, int, float, bool, type(None))
+
+#: Exact type → encoder for the JSON leaves and plain containers.
+_LEAVES: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda _value: "null",
+    list: _encode_seq,
+    tuple: _encode_seq,
+    dict: _encode_dict,
+}
 
 
 #: Simulator packages/modules whose source determines point values.  The
@@ -222,15 +356,19 @@ def code_salt() -> str:
 
 
 def task_key(task: PointTask, salt: Optional[str] = None) -> str:
-    """Stable content hash of a task (the cache key)."""
+    """Stable content hash of a task (the cache key).
+
+    SHA-256 of the canonical JSON text of the document below; each part
+    is encoded on its own and spliced in sorted key order.
+    """
     doc = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "salt": salt if salt is not None else code_salt(),
-        "kind": task.kind,
-        "system": _jsonable(task.system),
-        "cfg": _jsonable(task.cfg),
+        "schema": _encode(CACHE_SCHEMA_VERSION),
+        "salt": _encode(salt if salt is not None else code_salt()),
+        "kind": _encode(task.kind),
+        "system": _encode(task.system),
+        "cfg": _encode(task.cfg),
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    blob = _members(sorted(doc.items()))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -1,16 +1,17 @@
 """Cache-key hygiene rule CACHE001.
 
 The point cache (:mod:`repro.core.executor`) keys every stored result on
-a canonical JSON serialization of the task's config dataclasses
-(``_jsonable`` walks ``dataclasses.fields`` recursively).  That scheme is
-sound *only if* every field of every config dataclass reachable from a
-:class:`PointTask` is faithfully canonicalized:
+a canonical JSON serialization of the task's config dataclasses (the
+executor's key encoder writes each dataclass's ``dataclasses.fields`` in
+sorted order, recursively; a frozen config keeps its text).  That scheme
+is sound *only if* every field of every config dataclass reachable from
+a :class:`PointTask` is faithfully canonicalized:
 
 * a field typed ``set`` (or any unordered container) serializes in
   arbitrary order — two identical configs would hash differently;
-* a field typed ``Any``/``Callable``/unknown falls through ``_jsonable``
-  to ``json.dumps``'s default handling (or crashes) — its value may not
-  round-trip stably;
+* a field typed ``Any``/``Callable``/unknown has no canonical encoding:
+  the encoder rejects values it cannot write (``TypeError``, as
+  ``json.dumps`` does), and any other value may not round-trip stably;
 * a ``ClassVar`` never appears in ``dataclasses.fields`` at all — a
   simulation parameter stored there silently escapes the cache key, the
   exact "config field missing from the hash" bug this rule exists for;
@@ -31,7 +32,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .model import FileContext, LintViolation
 from .rules import ProjectRule, register
 
-#: Leaf types ``_jsonable``/``json.dumps`` canonicalize exactly.
+#: Leaf types the key encoder writes canonically.
 _STABLE_ATOMS: Set[str] = {"int", "float", "str", "bool", "bytes", "None"}
 
 #: Generic containers whose canonical form is order-stable.

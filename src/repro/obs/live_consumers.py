@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import queue as queue_mod
 import sys
 import threading
 import time
@@ -44,6 +45,25 @@ DEFAULT_STALL_FLOOR_S = 2.0
 DEFAULT_HEARTBEAT_LOSS_FACTOR = 6.0
 #: Period of the hub's synthetic ``progress`` events.
 DEFAULT_PROGRESS_PERIOD_S = 1.0
+#: Longest :meth:`TelemetryHub.close` waits for queued events to arrive.
+CLOSE_FLUSH_S = 5.0
+
+#: Put through the queue at close: every event before it was emitted
+#: before close began.  Not an event (it has no ``kind``).
+_CLOSE_SENTINEL: Dict[str, Any] = {"hub_close": True}
+#: Drop-count kind for events still in flight at the close deadline.
+_UNFLUSHED = "unflushed_at_close"
+#: What :meth:`TelemetryHub._drain_one` returns on an empty queue.
+_EMPTY = object()
+
+
+def _outstanding(queue: Any) -> int:
+    """Items put into ``queue`` and not yet taken (0 where the platform
+    cannot tell)."""
+    try:
+        return int(queue.qsize())
+    except NotImplementedError:  # pragma: no cover - macOS
+        return 0
 
 
 class CostModel:
@@ -299,11 +319,7 @@ class TelemetryHub:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-        while True:  # flush whatever the workers got in before teardown
-            doc = self.channel.drain_nowait()
-            if doc is None:
-                break
-            self._handle(doc)
+        self._flush()
         self._check_stalls()
         with self._lock:
             state = self.state
@@ -319,6 +335,46 @@ class TelemetryHub:
         self.channel.close()
 
     # ----------------------------------------------------------- internals
+    def _flush(self) -> None:
+        """Handle every event enqueued before close, within a deadline.
+
+        ``Queue.put`` hands items to a feeder thread, so events emitted
+        just before close may not be readable yet.  A sentinel put now
+        queues behind them; everything before it is handled.  Events
+        still outstanding at the deadline are counted as dropped.
+        """
+        queue = self.channel.queue
+        deadline_s = time.monotonic() + CLOSE_FLUSH_S
+        sent = arrived = False
+        while not sent and time.monotonic() < deadline_s:
+            try:
+                queue.put_nowait(_CLOSE_SENTINEL)
+                sent = True
+            except queue_mod.Full:  # make room: nobody else drains now
+                self._drain_one(0.05)
+            except (OSError, ValueError):  # queue torn down
+                return
+        while sent and not arrived:
+            doc = self._drain_one(max(deadline_s - time.monotonic(), 0.0))
+            if doc is _EMPTY:
+                break
+            arrived = doc == _CLOSE_SENTINEL
+        if not arrived:
+            lost = _outstanding(queue) - sent
+            if lost > 0:
+                dropped = self.channel.dropped
+                dropped[_UNFLUSHED] = dropped.get(_UNFLUSHED, 0) + lost
+
+    def _drain_one(self, timeout_s: float) -> Any:
+        """Handle one queued event; return it (:data:`_EMPTY` if none)."""
+        try:
+            doc = self.channel.queue.get(timeout=timeout_s)
+        except queue_mod.Empty:
+            return _EMPTY
+        if isinstance(doc, dict) and doc != _CLOSE_SENTINEL:
+            self._handle(doc)
+        return doc
+
     def _loop(self) -> None:
         while not self._stop.is_set():
             doc = self.channel.drain(timeout_s=0.2)

@@ -38,6 +38,7 @@ from repro.obs.live import (
     validate_stream_line,
     worker_armed,
 )
+from repro.obs import live_consumers
 from repro.obs.live_consumers import (
     CostModel,
     ProgressRenderer,
@@ -428,6 +429,40 @@ class TestKilledWorker:
         assert hub.state.finished
         for doc in seen:
             assert validate_stream_event(doc) == []
+
+
+class TestHubClose:
+    """``close`` must hand on every event emitted before it, even those
+    still in the queue's feeder thread, and count what it cannot."""
+
+    @staticmethod
+    def _burst(channel, n=3):
+        for i in range(n):
+            assert channel.emit("point_cached", key=f"k{i}",
+                                method="polling", outcome="hit")
+
+    def test_events_in_flight_at_close_are_delivered(self):
+        for _round in range(20):
+            seen = []
+            channel = TelemetryChannel()
+            hub = TelemetryHub(channel, consumers=[seen.append])
+            self._burst(channel)
+            hub.close()
+            cached = [e for e in seen if e["kind"] == "point_cached"]
+            assert [e["key"] for e in cached] == ["k0", "k1", "k2"]
+            assert seen[-1]["kind"] == "run_end"
+            assert seen[-1]["dropped"] == {}
+
+    def test_events_missing_at_the_deadline_count_as_dropped(
+            self, monkeypatch):
+        monkeypatch.setattr(live_consumers, "CLOSE_FLUSH_S", 0.0)
+        seen = []
+        channel = TelemetryChannel()
+        hub = TelemetryHub(channel, consumers=[seen.append])
+        self._burst(channel)
+        hub.close()
+        assert not [e for e in seen if e["kind"] == "point_cached"]
+        assert seen[-1]["dropped"] == {"unflushed_at_close": 3}
 
 
 # ------------------------------------------------------ stream writer / top
