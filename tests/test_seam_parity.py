@@ -12,6 +12,13 @@ compares what each observer produced with fixtures under
 * ``comb trace fig12 --attribution``: the Chrome trace, CSV timeline and
   attribution JSON, byte for byte (compared by SHA-256).
 
+The sim side is pinned the same way: one GM PWW point and an 8-rank
+Portals halo3d on a k=4 fat-tree run with the sanitizer and the observer
+ambient together, so one trace stream and the matching-queue events feed
+both.  Each case pins the observer's Chrome trace, CSV timeline and
+``to_dict()``, the sanitizer's violation counts (all zero) and a digest
+of the exact record stream the sanitizer's monitors see.
+
 Wall-clock fields, pids and run ids vary between runs and are masked.
 Cache keys hash the simulator source, so they are compared by identity
 (the order in which distinct keys first appear), not by value.  A change
@@ -33,6 +40,22 @@ from typing import Any, Dict, List
 
 import pytest
 
+from repro.config import gm_system, portals_system
+from repro.core import PwwConfig, run_pww
+from repro.obs import (
+    Observer,
+    use_observer,
+    write_chrome_trace,
+    write_csv_timeline,
+)
+from repro.patterns import PatternConfig, run_pattern
+from repro.verify import (
+    InvariantMonitor,
+    Sanitizer,
+    default_monitors,
+    use_sanitizer,
+)
+
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "data" / "seam_parity"
 
@@ -45,26 +68,94 @@ LEDGER_MASK = ("wall_s", "total_s", "timestamp", "run_id", "compiled")
 FIGURE_IDS = ("fig04", "fig11_ci")
 TRACE_FILES = ("fig12.trace.json", "fig12.timeline.csv",
                "fig12.attribution.json")
+#: Sim-side cases, each one point under the sanitizer and the observer.
+SIM_CASES = ("gm_pww", "portals_halo3d")
+SIM_FILES = ("trace.json", "timeline.csv", "observer.json", "records.txt")
 
 
-def _comb(*args: str) -> None:
+def _python(*args: str) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args], cwd=ROOT, env=env,
+        [sys.executable, *args], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def _comb(*args: str) -> None:
+    _python("-m", "repro.cli", *args)
+
+
+class _RecordingMonitor(InvariantMonitor):
+    """Logs each record the sanitizer dispatches as one text line:
+    ``time source kind``, plus the request id (posted queues) or the
+    message id (unexpected queues) of ``q_*`` records.  Message ids come
+    from a process-wide counter, so they are renumbered by first
+    appearance."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lines: List[str] = []
+        self._msg_ids: Dict[int, int] = {}
+
+    def on_record(self, rec: Any) -> None:
+        line = f"{rec.time!r} {rec.source} {rec.kind}"
+        if rec.kind.startswith("q_unex_"):
+            msg = self._msg_ids.setdefault(rec.detail.msg_id,
+                                           len(self._msg_ids))
+            line += f" msg={msg}"
+        elif rec.kind.startswith("q_"):
+            line += f" req={rec.detail.req_id}"
+        self.lines.append(line)
+
+
+def _sim_point(case: str) -> None:
+    if case == "gm_pww":
+        run_pww(gm_system(), PwwConfig())
+    else:
+        run_pattern(portals_system(), PatternConfig(
+            pattern="halo3d", ranks=8, topology="fattree", arity=4))
+
+
+def run_sim_cases(out: Path) -> None:
+    """Run every sim case with the sanitizer and the observer ambient
+    together, writing each case's pinned outputs under ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    for case in SIM_CASES:
+        recorder = _RecordingMonitor()
+        sanitizer = Sanitizer(monitors=default_monitors() + [recorder])
+        observer = Observer()
+        with use_sanitizer(sanitizer), use_observer(observer):
+            _sim_point(case)
+        sanitizer.finalize()
+        events = observer.events()
+        dropped = observer.tracer.dropped()
+        write_chrome_trace(events, out / f"{case}.trace.json", label=case,
+                           dropped=dropped)
+        write_csv_timeline(events, out / f"{case}.timeline.csv",
+                           dropped=dropped)
+        (out / f"{case}.observer.json").write_text(
+            json.dumps(observer.to_dict(), indent=1, sort_keys=True) + "\n")
+        (out / f"{case}.sanitizer.json").write_text(
+            json.dumps(sanitizer.counts(), sort_keys=True) + "\n")
+        (out / f"{case}.records.txt").write_text(
+            "\n".join(recorder.lines) + "\n")
+
+
 def run_commands(work: Path) -> None:
-    """Run both fixed commands with every output under ``work``."""
+    """Run both fixed commands and the sim cases with every output under
+    ``work``."""
     _comb("figures", "--ids", *FIGURE_IDS, "--per-decade", "1",
           "--no-cache", "--metrics", "--no-plots",
           "--progress-stream", str(work / "stream.ndjson"),
           "--ledger-dir", str(work / "ledger"), "--out", str(work / "out"))
     _comb("trace", "fig12", "--attribution", "--out", str(work / "trace"))
+    # Its own process, so message ids start where a fresh run's do.
+    _python(__file__, "--sim-cases", str(work / "sim"))
 
 
 class _KeyIds:
@@ -124,12 +215,29 @@ def trace_digests(work: Path) -> Dict[str, str]:
             .hexdigest() for name in TRACE_FILES}
 
 
+def sim_profile(work: Path) -> Dict[str, Any]:
+    sim = work / "sim"
+    return {
+        case: {
+            "sanitizer": json.loads(
+                (sim / f"{case}.sanitizer.json").read_text()),
+            "records": len(
+                (sim / f"{case}.records.txt").read_text().splitlines()),
+            "sha256": {
+                name: hashlib.sha256((sim / f"{case}.{name}").read_bytes())
+                .hexdigest() for name in SIM_FILES},
+        }
+        for case in SIM_CASES
+    }
+
+
 def _profiles(work: Path) -> Dict[str, Any]:
     return {
         "stream": stream_events(work),
         "ledger": ledger_records(work),
         "metrics": metrics_profile(work),
         "trace": trace_digests(work),
+        "sim": sim_profile(work),
     }
 
 
@@ -191,6 +299,18 @@ def test_trace_exports_byte_identical(outputs):
     assert outputs["trace"] == _fixture("trace")
 
 
+@pytest.mark.parametrize("case", SIM_CASES)
+def test_sim_seam_outputs_match(outputs, case):
+    assert outputs["sim"][case] == _fixture("sim")[case]
+
+
+@pytest.mark.parametrize("case", SIM_CASES)
+def test_sim_sanitizer_sees_every_record_and_no_violation(outputs, case):
+    got = outputs["sim"][case]
+    assert got["records"] > 0
+    assert set(got["sanitizer"].values()) == {0}
+
+
 def _record() -> None:
     import tempfile
 
@@ -204,6 +324,9 @@ def _record() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: test_seam_parity.py --record")
-    _record()
+    if sys.argv[1:] == ["--record"]:
+        _record()
+    elif len(sys.argv) == 3 and sys.argv[1] == "--sim-cases":
+        run_sim_cases(Path(sys.argv[2]))
+    else:
+        sys.exit("usage: test_seam_parity.py --record | --sim-cases DIR")

@@ -21,16 +21,19 @@ import pytest
 from repro.config import FaultConfig, gm_system, portals_system
 from repro.core import PollingConfig, PwwConfig, run_polling, run_pww
 from repro.core.accounting import drain_events
+from repro.ext.whatif import build_custom_world
 from repro.hardware.nic import SendJob
 from repro.mpi import build_world
-from repro.obs import Observer
+from repro.obs import Observer, ObsTracer
 from repro.obs.context import use_observer
+from repro.transport.gm import GmDevice
 from repro.transport.packets import (
     PacketKind,
     control_packet,
     next_msg_id,
     packetize,
 )
+from repro.verify import Sanitizer, use_sanitizer
 
 KB = 1024
 MTU = gm_system().machine.nic.mtu_bytes
@@ -41,6 +44,29 @@ def _traced(fn, system, cfg):
     per-packet path (enable_fast refuses when a tracer is present)."""
     with use_observer(Observer()):
         return fn(system, cfg)
+
+
+def _ambient_observer_world():
+    with use_observer(Observer()):
+        return build_world(gm_system())
+
+
+def _ambient_sanitizer_world():
+    with use_sanitizer(Sanitizer()):
+        return build_world(gm_system())
+
+
+def _ambient_both_world():
+    with use_sanitizer(Sanitizer()), use_observer(Observer()):
+        return build_world(gm_system())
+
+
+def _explicit_tracer_world():
+    return build_world(gm_system(), tracer=ObsTracer())
+
+
+def _custom_tracer_world():
+    return build_custom_world(gm_system(), GmDevice, tracer=ObsTracer())
 
 
 # ---------------------------------------------------------------- structure
@@ -113,10 +139,17 @@ class TestBatchingDecision:
         if nic._domain is not None:
             assert nic._domain.streams == []
 
-    def test_traced_cluster_keeps_legacy_path(self):
-        with use_observer(Observer()):
-            world = build_world(gm_system())
-        assert not world.cluster[0].nic._fast
+    @pytest.mark.parametrize("build", [
+        _ambient_observer_world,
+        _ambient_sanitizer_world,
+        _ambient_both_world,
+        _explicit_tracer_world,
+        _custom_tracer_world,
+    ], ids=["observer", "sanitizer", "both", "explicit", "custom"])
+    def test_traced_cluster_keeps_legacy_path(self, build):
+        world = build()
+        assert world.engine.trace is not None
+        assert not any(node.nic._fast for node in world.cluster.nodes)
 
 
 # -------------------------------------------------------------- equivalence
