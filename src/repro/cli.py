@@ -694,8 +694,8 @@ def _run_trace(args: argparse.Namespace) -> int:
             ))
         label = f"comb pww {system.name}"
     elif target in _PATTERN_ALIASES:
-        from .core.executor import PointTask, _point_marker
-        from .patterns import PatternConfig, run_pattern
+        from .core.executor import PointTask
+        from .patterns import PatternConfig
 
         system = get_system(args.system)
         cfg = PatternConfig(
@@ -707,14 +707,12 @@ def _run_trace(args: argparse.Namespace) -> int:
             ),
             topology=args.topology,
         )
-        # Bracket the stream with executor-style point markers so
-        # attribution labels the point method="pattern" and applies the
+        # Run as one executor point, as figures do: its point markers let
+        # attribution label the point method="pattern" and apply the
         # warmup-window filter (see repro.obs.attribution).
-        marker = _point_marker(PointTask("pattern", system, cfg))
-        with use_observer(observer):
-            observer.tracer.record(0.0, "executor", "point_start", marker)
-            run_pattern(system, cfg)
-            observer.tracer.record(0.0, "executor", "point_end", ("pattern",))
+        with SweepExecutor(jobs=1, cache=None) as executor:
+            with use_observer(observer):
+                executor.run([PointTask("pattern", system, cfg)])
         label = f"comb {target} {system.name} x{cfg.ranks}"
     elif target in ALL_FIGURES:
         # Forced serial + uncached: cached points never simulate (no

@@ -1,5 +1,4 @@
-"""Benchmark-trajectory recording shared by ``comb bench`` and
-``tools/bench_report.py``.
+"""Benchmark-trajectory recording behind ``comb bench``.
 
 One *record* is one timed pass over the coarse benchmark grid (the paper
 figures at 1 point/decade by default).  Records append to a trajectory

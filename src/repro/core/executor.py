@@ -490,10 +490,9 @@ class SweepExecutor:
         so they are bit-identical.
     cache:
         ``None`` (default) disables the on-disk cache; a :class:`PointCache`
-        or a path enables it.
-    memoize:
-        Keep an in-process memo of completed points (default on).  Purely
-        an intra-run dedup: determinism makes it value-transparent.
+        or a path enables it.  Completed points are also memoized in
+        process, an intra-run dedup that determinism makes
+        value-transparent.
     check:
         Run every simulated point under the simulation sanitizer
         (:mod:`repro.verify`) and collect invariant violations into
@@ -526,7 +525,6 @@ class SweepExecutor:
         self,
         jobs: int = 1,
         cache: Union[None, str, Path, PointCache] = None,
-        memoize: bool = True,
         check: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         reps: int = 1,
@@ -542,7 +540,6 @@ class SweepExecutor:
         if cache is not None and not isinstance(cache, PointCache):
             cache = PointCache(cache)
         self.cache = cache
-        self.memoize = memoize
         self.check = check
         self.metrics = metrics
         self.reps = reps
@@ -783,7 +780,7 @@ class SweepExecutor:
 
     # -------------------------------------------------------------- plumbing
     def _lookup(self, key: str, kind: str) -> Optional[Point]:
-        if self.memoize and key in self._memo:
+        if key in self._memo:
             self.stats.hits += 1
             return dataclasses.replace(self._memo[key])
         if self.cache is not None:
@@ -791,15 +788,13 @@ class SweepExecutor:
             self.stats.evictions = self.cache.evictions - self._evictions_base
             if point is not None:
                 self.stats.hits += 1
-                if self.memoize:
-                    self._memo[key] = dataclasses.replace(point)
+                self._memo[key] = dataclasses.replace(point)
                 return point
         self.stats.misses += 1
         return None
 
     def _store(self, key: str, kind: str, point: Point) -> None:
-        if self.memoize:
-            self._memo[key] = dataclasses.replace(point)
+        self._memo[key] = dataclasses.replace(point)
         if self.cache is not None:
             self.cache.put(key, kind, point)
 

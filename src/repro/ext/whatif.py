@@ -106,7 +106,7 @@ def build_custom_world(
     and run the unmodified benchmark methods on top.
     """
     engine = Engine(trace=tracer)
-    cluster = Cluster(engine, system, n_nodes=n_nodes, tracer=tracer)
+    cluster = Cluster(engine, system, n_nodes=n_nodes)
     devices: List[Device] = [
         device_cls(engine, cluster[i], i, system) for i in range(n_nodes)
     ]
@@ -116,4 +116,4 @@ def build_custom_world(
     endpoints = [
         Endpoint(engine, dev, rank, n_nodes) for rank, dev in enumerate(devices)
     ]
-    return World(engine, system, cluster, endpoints, tracer)
+    return World(engine, system, cluster, endpoints)

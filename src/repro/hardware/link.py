@@ -38,12 +38,10 @@ class Link:
         latency_s: float,
         header_bytes: int,
         name: str = "link",
-        tracer=None,
     ):
         self.engine = engine
         self.header_bytes = header_bytes
         self.name = name
-        self.tracer = tracer
         self._pipe = Pipe(
             engine, bandwidth_Bps=bandwidth_Bps, latency_s=latency_s, name=name
         )
@@ -75,9 +73,10 @@ class Link:
         self.packets_carried += 1
         self.bytes_carried += nbytes
         ev = self._pipe.transfer(nbytes, packet)
-        if self.tracer is not None:
-            self.tracer.record(self.engine.now, self.name, "wire_tx",
-                               (packet.kind.value, packet.msg_id, packet.index))
+        trace = self.engine.trace
+        if trace is not None:
+            trace.record(self.engine.now, self.name, "wire_tx",
+                         (packet.kind.value, packet.msg_id, packet.index))
         ev.callbacks.append(self._on_delivered)
 
     def send_after(self, delay_s: float, packet: Packet) -> None:
@@ -91,6 +90,7 @@ class Link:
 
     def _on_delivered(self, ev) -> None:
         packet: Packet = ev.value
+        trace = self.engine.trace
         if (
             self._loss_rate > 0.0
             and packet.kind is PacketKind.DATA
@@ -98,14 +98,13 @@ class Link:
         ):
             # The packet occupied the wire but arrives corrupt: dropped.
             self.packets_dropped += 1
-            if self.tracer is not None:
-                self.tracer.record(self.engine.now, self.name, "wire_drop",
-                                   (packet.kind.value, packet.msg_id,
-                                    packet.index))
+            if trace is not None:
+                trace.record(self.engine.now, self.name, "wire_drop",
+                             (packet.kind.value, packet.msg_id, packet.index))
             return
-        if self.tracer is not None:
-            self.tracer.record(self.engine.now, self.name, "wire_rx",
-                               (packet.kind.value, packet.msg_id, packet.index))
+        if trace is not None:
+            trace.record(self.engine.now, self.name, "wire_rx",
+                         (packet.kind.value, packet.msg_id, packet.index))
         self.deliver(packet)
 
     @property

@@ -80,13 +80,11 @@ class NIC:
         config: NicConfig,
         node_id: int,
         name: str = "",
-        tracer=None,
     ):
         self.engine = engine
         self.config = config
         self.node_id = node_id
         self.name = name or f"node{node_id}.nic"
-        self.tracer = tracer
         #: Shared host DMA pipe (PCI): transmit and receive contend here.
         self.host_bus = Pipe(
             engine,
@@ -125,10 +123,10 @@ class NIC:
     def enable_fast(self, switch, routes: dict, domain) -> None:
         """Arm merged emission and bursts for an exclusive route group.
 
-        Requires: no tracer attached (traced runs take the routed emission
-        so per-packet records stay byte-identical), and a credit window wide
-        enough that wire credits can never block — emissions are spaced at
-        least ``dma_setup_s`` apart, so at most
+        Requires: no tracer on the engine (traced runs take the routed
+        emission so per-packet records stay byte-identical), and a credit
+        window wide enough that wire credits can never block — emissions
+        are spaced at least ``dma_setup_s`` apart, so at most
         ``ceil(nic_processing_s / dma_setup_s)`` credits are ever in
         flight.  When armed, per-packet bookkeeping events (credit grants,
         NIC-processing and switch-latency timeouts) fold into analytically
@@ -136,7 +134,7 @@ class NIC:
         single lazy :class:`~repro.sim.resources.BurstDomain` burst.
         """
         cfg = self.config
-        if self.tracer is not None or self.engine.trace is not None:
+        if self.engine.trace is not None:
             return
         if cfg.dma_setup_s <= 0.0:
             return
@@ -219,9 +217,10 @@ class NIC:
         job, i = ev._value
         pkt = job.packets[i]
         self.tx_packets += 1
-        if self.tracer is not None:
-            self.tracer.record(self.engine.now, self.name, "packet_tx",
-                               (pkt.kind.value, pkt.msg_id, pkt.index))
+        trace = self.engine.trace
+        if trace is not None:
+            trace.record(self.engine.now, self.name, "packet_tx",
+                         (pkt.kind.value, pkt.msg_id, pkt.index))
         post(self.engine, pkt, self._emit_cb, self.config.nic_processing_s)
         # The grant is itself the fresh event the next step needs.
         if i + 1 < len(job.packets):
@@ -292,11 +291,12 @@ class NIC:
         self.rx_packets += 1
         if self.rx_handler is None:
             raise RuntimeError(f"{self.name}: no transport attached")
-        if self.tracer is not None:
+        trace = self.engine.trace
+        if trace is not None:
             # One record per *delivery attempt*: the conservation monitor
             # counts these to catch duplicated packets.
-            self.tracer.record(self.engine.now, self.name, "nic_rx",
-                               (packet.kind.value, packet.msg_id, packet.index))
+            trace.record(self.engine.now, self.name, "nic_rx",
+                         (packet.kind.value, packet.msg_id, packet.index))
         if packet.kind is PacketKind.DATA:
             ev = self.host_bus.transfer(
                 packet.wire_bytes(self.config.header_bytes), packet

@@ -89,18 +89,16 @@ class Crossbar(Topology):
     def wire(self, cluster: "Cluster", n_nodes: int) -> None:
         engine = cluster.engine
         system = cluster.system
-        tracer = cluster.tracer
         if n_nodes > system.machine.switch.ports:
             raise ValueError(
                 f"{n_nodes} nodes exceed the switch's "
                 f"{system.machine.switch.ports} ports"
             )
-        cluster.switch = Switch(
-            engine, system.machine.switch, system.machine.nic, tracer=tracer
-        )
+        cluster.switch = Switch(engine, system.machine.switch,
+                                system.machine.nic)
         loss = system.machine.fault.data_loss_rate
         for nid in range(n_nodes):
-            node = Node(engine, system, nid, tracer=tracer)
+            node = Node(engine, system, nid)
             node.nic.uplink = cluster.switch.ingress
             cluster.switch.attach(nid, node.nic.deliver)
             if loss > 0.0:
@@ -108,7 +106,7 @@ class Crossbar(Topology):
                     loss, cluster.rng.stream(f"loss.link{nid}")
                 )
             cluster.nodes.append(node)
-        if n_nodes == 2 and tracer is None and engine.trace is None:
+        if n_nodes == 2 and engine.trace is None:
             # Exclusive routes: each wire carries exactly one sender's
             # traffic, so the NICs can merge emission into the wire
             # reservation and burst-batch multi-fragment messages (see
@@ -149,13 +147,11 @@ class TreeSwitch:
         config: SwitchConfig,
         nic_config: NicConfig,
         name: str,
-        tracer=None,
     ):
         self.engine = engine
         self.config = config
         self.nic_config = nic_config
         self.name = name
-        self.tracer = tracer
         #: port key -> output link.
         self._ports: Dict[str, Link] = {}
         #: destination node id -> port key.
@@ -176,7 +172,6 @@ class TreeSwitch:
             latency_s=self.nic_config.wire_latency_s,
             header_bytes=self.nic_config.header_bytes,
             name=f"{self.name}.{key}",
-            tracer=self.tracer,
         )
         link.deliver = deliver
         self._ports[key] = link
@@ -254,7 +249,6 @@ class FatTree(Topology):
     def wire(self, cluster: "Cluster", n_nodes: int) -> None:
         engine = cluster.engine
         system = cluster.system
-        tracer = cluster.tracer
         k = self._k(cluster)
         hosts_per_edge = k // 2
         n_core = k // 2
@@ -267,11 +261,11 @@ class FatTree(Topology):
         sw_cfg = system.machine.switch
         nic_cfg = system.machine.nic
         self.edges = [
-            TreeSwitch(engine, sw_cfg, nic_cfg, f"edge{e}", tracer=tracer)
+            TreeSwitch(engine, sw_cfg, nic_cfg, f"edge{e}")
             for e in range(n_edge)
         ]
         self.cores = [
-            TreeSwitch(engine, sw_cfg, nic_cfg, f"core{c}", tracer=tracer)
+            TreeSwitch(engine, sw_cfg, nic_cfg, f"core{c}")
             for c in range(n_core)
         ]
 
@@ -280,7 +274,7 @@ class FatTree(Topology):
         # stream names and draw order as the crossbar).
         loss = system.machine.fault.data_loss_rate
         for nid in range(n_nodes):
-            node = Node(engine, system, nid, tracer=tracer)
+            node = Node(engine, system, nid)
             edge = self.edges[nid // hosts_per_edge]
             node.nic.uplink = edge.ingress
             link = edge.add_port(f"host{nid}", node.nic.deliver)

@@ -1,9 +1,22 @@
-"""World builder: hardware + transports + MPI endpoints, ready to run."""
+"""World builder: hardware + transports + MPI endpoints, ready to run.
+
+The builder is also where a world's observation is wired.  The engine's
+``trace`` is the simulator's only tracer handle: every emitter (engine,
+NICs, links, transports, MPI requests, the COMB drivers) reads
+``engine.trace`` and records nothing when it is ``None``.  Ambient
+attachments — a sanitizer (:func:`repro.verify.use_sanitizer`) and an
+observer (:func:`repro.obs.use_observer`) — each contribute a tracer to
+that handle, fanned out by a :class:`~repro.sim.trace.MultiTracer` when
+both are ambient.  The matching-queue events (``q_*``) are not engine
+records: :data:`WATCHED_QUEUES` names the device queues that emit them,
+and one hook per queue hands each event to every attachment, sanitizer
+first, through its ``record_queue`` method.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig, TransportKind
 from ..hardware.cluster import Cluster
@@ -19,6 +32,16 @@ _DEVICE_CLASSES = {
     TransportKind.PORTALS: PortalsDevice,
     TransportKind.TCP: TcpDevice,
 }
+
+#: Device matching queues that emit ``q_*`` events, with each queue's kind
+#: prefix: posted receives emit ``q_<op>``, unexpected arrivals
+#: ``q_unex_<op>``.  The event's source is ``rank{r}.{attr}``.
+WATCHED_QUEUES: Tuple[Tuple[str, str], ...] = (
+    ("posted", "q_"),
+    ("k_posted", "q_"),
+    ("unexpected", "q_unex_"),
+    ("k_unexpected", "q_unex_"),
+)
 
 #: Custom device classes keyed by ``SystemConfig.name`` — lets extensions
 #: (e.g. :mod:`repro.ext.whatif`) run the unmodified benchmark drivers on
@@ -50,7 +73,6 @@ class World:
     system: SystemConfig
     cluster: Cluster
     endpoints: List[Endpoint]
-    tracer: Optional[Tracer] = None
 
     def endpoint(self, rank: int) -> Endpoint:
         """The endpoint for ``rank``."""
@@ -74,13 +96,9 @@ def build_world(
     :class:`~repro.hardware.topology.Topology`; ``None`` is the paper's
     crossbar switch, bit-identical to the seed two-node wiring).
 
-    If no explicit ``tracer`` is given, ambient attachments are resolved:
-    a sanitizer (see :func:`repro.verify.use_sanitizer`) and/or an
-    observer (see :func:`repro.obs.use_observer`).  Each contributes its
-    tracer to the engine's trace seam — both at once share it through a
-    :class:`~repro.sim.trace.MultiTracer` — and is installed on the built
-    world (sanitizer first, so the observer chains its queue hooks after
-    the sanitizer's rather than replacing them).
+    ``tracer`` becomes the engine's ``trace``.  If none is given, the
+    ambient sanitizer and/or observer are attached as the module
+    docstring describes, sanitizer first.
     """
     attachments: list = []
     if tracer is None:
@@ -103,8 +121,7 @@ def build_world(
     from ..obs.live import attach_engine_probe
 
     attach_engine_probe(engine)
-    cluster = Cluster(engine, system, n_nodes=n_nodes, tracer=tracer,
-                      topology=topology)
+    cluster = Cluster(engine, system, n_nodes=n_nodes, topology=topology)
     devices = [
         make_device(engine, cluster[i], i, system) for i in range(n_nodes)
     ]
@@ -114,7 +131,26 @@ def build_world(
     endpoints = [
         Endpoint(engine, dev, rank, n_nodes) for rank, dev in enumerate(devices)
     ]
-    world = World(engine, system, cluster, endpoints, tracer)
+    world = World(engine, system, cluster, endpoints)
+    for dev in devices if attachments else ():
+        for attr, prefix in WATCHED_QUEUES:
+            queue = getattr(dev, attr, None)
+            if queue is not None:
+                queue.observer = _queue_hook(
+                    engine, f"rank{dev.rank}.{attr}", prefix, attachments)
     for ambient in attachments:
         ambient.install(world)
     return world
+
+
+def _queue_hook(engine: Engine, source: str, prefix: str,
+                attachments: Sequence[Any]) -> Callable[[str, Any], None]:
+    """A queue's observer: each event goes to every attachment's
+    ``record_queue(time, source, kind, handle)``, in attachment order."""
+
+    def hook(op: str, handle: Any) -> None:
+        kind = prefix + op
+        for attachment in attachments:
+            attachment.record_queue(engine.now, source, kind, handle)
+
+    return hook

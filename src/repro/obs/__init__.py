@@ -2,8 +2,8 @@
 
 The subsystem rides the same ambient-attach pattern as the sanitizer
 (:mod:`repro.verify`): an :class:`Observer` made ambient with
-:func:`use_observer` attaches its :class:`ObsTracer` to every world built
-inside the block through the simulator's ``Tracer`` seam.  Detached, the
+:func:`use_observer` puts its :class:`ObsTracer` on the engine's
+``trace`` of every world built inside the block.  Detached, the
 hot paths pay a single ``is None`` check per emission site — zero
 allocation, zero I/O.
 

@@ -8,8 +8,8 @@ active observer the lookup is a single list check, so the default path
 stays free of observation overhead.
 
 An observer and a sanitizer may be ambient simultaneously; the world
-builder fans the tracer seam out to both (see
-:class:`repro.sim.trace.MultiTracer`).
+builder puts a :class:`repro.sim.trace.MultiTracer` on the engine's
+``trace`` that feeds both (see :mod:`repro.mpi.world`).
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 :class:`Observer` owns an :class:`~repro.obs.tracer.ObsTracer` (event
 timeline, ring-buffered) and a :class:`~repro.obs.metrics.MetricsRegistry`
 (derived aggregates).  Worlds built while the observer is ambient (see
-:mod:`repro.obs.context`) attach the tracer through the simulator's
-``Tracer`` seam and install queue observers on the MPI matching
-structures, so one object captures the full per-run picture:
+:mod:`repro.obs.context`) put its tracer on the engine's ``trace`` and
+hand it their matching-queue events (see :mod:`repro.mpi.world`), so one
+object captures the full per-run picture:
 
 * per-phase sim-time breakdowns — PWW post/work/wait durations
   (``pww_phase`` events from :mod:`repro.core.pww`);
@@ -22,7 +22,7 @@ are bit-identical to bare runs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List
 
 from .metrics import DEFAULT_SIM_TIME_BUCKETS_S, MetricsRegistry
 from .tracer import ObsEvent, ObsTracer
@@ -39,22 +39,6 @@ _NET_KINDS = frozenset(
 )
 
 
-def _chain(
-    prev: Optional[Callable[[str, Any], None]],
-    nxt: Callable[[str, Any], None],
-) -> Callable[[str, Any], None]:
-    """Compose queue observers so an earlier attachment (e.g. the
-    sanitizer's) keeps seeing every mutation."""
-    if prev is None:
-        return nxt
-
-    def chained(op: str, obj: Any) -> None:
-        prev(op, obj)
-        nxt(op, obj)
-
-    return chained
-
-
 class Observer:
     """Captures a structured timeline and derived metrics for one run.
 
@@ -62,9 +46,6 @@ class Observer:
     ----------
     ring_capacity:
         Per-kind event ring size (newest events survive).
-    kinds:
-        If not ``None``, restrict the timeline to these event kinds
-        (metrics are derived only from recorded events).
     kernel:
         Also record the per-event kernel stream (very noisy).
     """
@@ -72,13 +53,10 @@ class Observer:
     def __init__(
         self,
         ring_capacity: int = 65536,
-        kinds: Optional[Set[str]] = None,
         kernel: bool = False,
     ) -> None:
         self.metrics = MetricsRegistry()
-        self.tracer = ObsTracer(
-            kinds=kinds, ring_capacity=ring_capacity, kernel=kernel
-        )
+        self.tracer = ObsTracer(ring_capacity=ring_capacity, kernel=kernel)
         self.tracer.dispatch = self._on_event
         self.worlds: List[Any] = []
         self._req_posted_at_s: Dict[int, float] = {}
@@ -86,34 +64,17 @@ class Observer:
 
     # ------------------------------------------------------------ attachment
     def install(self, world: Any) -> None:
-        """Attach queue observers to a freshly built world.
+        """Register a freshly built world.
 
         Called automatically by :func:`repro.mpi.world.build_world` when
-        this observer is ambient.  Existing queue observers (the
-        sanitizer installs its own) are chained, not replaced.
+        this observer is ambient.
         """
         self.worlds.append(world)
-        engine = world.engine
-        for ep in world.endpoints:
-            dev = ep.device
-            for attr in ("posted", "k_posted", "unexpected", "k_unexpected"):
-                q = getattr(dev, attr, None)
-                if q is not None:
-                    q.observer = _chain(q.observer, self._queue_observer(
-                        engine, f"rank{dev.rank}.{attr}",
-                        unexpected=attr.endswith("unexpected"),
-                    ))
 
-    def _queue_observer(
-        self, engine: Any, source: str, unexpected: bool = False
-    ) -> Callable[[str, Any], None]:
-        prefix = "q_unex_" if unexpected else "q_"
-        tracer = self.tracer
-
-        def observe(op: str, obj: Any) -> None:
-            tracer.record(engine.now, source, prefix + op, None)
-
-        return observe
+    def record_queue(self, time: float, source: str, kind: str,
+                     handle: Any) -> None:
+        """One matching-queue event; the timeline keeps no handle."""
+        self.tracer.record(time, source, kind, None)
 
     # ---------------------------------------------------------------- events
     def _on_event(self, ev: ObsEvent) -> None:

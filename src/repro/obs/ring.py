@@ -1,8 +1,7 @@
 """Bounded ring buffer for trace events.
 
-Long sweeps can emit millions of events; an unbounded list (what the
-plain :class:`~repro.sim.trace.Tracer` keeps) would make tracing a
-memory hazard at production scale.  The ring keeps the *newest*
+Long sweeps can emit millions of events; an unbounded list would make
+tracing a memory hazard at production scale.  The ring keeps the *newest*
 ``capacity`` items and counts what it overwrote, so exporters can state
 their truncation honestly instead of silently presenting a partial
 timeline as complete.

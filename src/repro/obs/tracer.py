@@ -1,8 +1,8 @@
 """Structured event tracer backed by per-kind ring buffers.
 
-:class:`ObsTracer` is a :class:`~repro.sim.trace.Tracer` subclass, so
-every existing emission site in the engine, hardware models, transports,
-and MPI layer feeds it unchanged.  Unlike the base tracer it
+:class:`ObsTracer` implements the :class:`~repro.sim.trace.Tracer`
+interface, so on an engine's ``trace`` every emission site in the engine,
+hardware models, transports, and MPI layer feeds it.  It
 
 * stores :class:`ObsEvent` records (with a global sequence number) in
   one bounded :class:`~repro.obs.ring.RingBuffer` per event kind, so a
@@ -16,7 +16,7 @@ and MPI layer feeds it unchanged.  Unlike the base tracer it
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from ..sim.trace import Tracer
 from .ring import RingBuffer
@@ -42,8 +42,6 @@ class ObsTracer(Tracer):
 
     Parameters
     ----------
-    kinds:
-        If not ``None``, only these event kinds are recorded.
     ring_capacity:
         Per-kind ring size; the newest events of each kind survive.
     kernel:
@@ -53,11 +51,9 @@ class ObsTracer(Tracer):
 
     def __init__(
         self,
-        kinds: Optional[Set[str]] = None,
         ring_capacity: int = 65536,
         kernel: bool = False,
     ) -> None:
-        super().__init__(kinds=kinds)
         self.ring_capacity = ring_capacity
         self.kernel = kernel
         #: Event kind -> ring of :class:`ObsEvent` (insertion order).
@@ -68,8 +64,6 @@ class ObsTracer(Tracer):
 
     # ------------------------------------------------------------- recording
     def record(self, time: float, source: str, kind: str, detail: Any = None) -> None:
-        if self.kinds is not None and kind not in self.kinds:
-            return
         ev = ObsEvent(self._seq, time, source, kind, detail)
         self._seq += 1
         ring = self.rings.get(kind)

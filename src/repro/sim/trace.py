@@ -1,21 +1,22 @@
-"""Lightweight structured tracing for simulation runs.
+"""The simulator's trace seam.
 
-Tracing is opt-in: the engine and hardware models call ``record*`` methods
-only when a tracer is attached.  Records are plain tuples, cheap to emit and
-easy to assert on in tests.
-
-The tracer is also the simulator's *sanitizer seam*: the runtime
-invariant checker (:mod:`repro.verify`) attaches a storage-free
-:class:`Tracer` subclass that dispatches each record to invariant
-monitors instead of accumulating it.  Subclasses may override
-:meth:`Tracer.record` and :meth:`Tracer.record_kernel` freely — emitters
-only rely on the call signatures.
+``Engine.trace`` is the only tracer handle in a simulation: the engine,
+NICs, links, transports, MPI requests and the COMB drivers all read it
+and emit nothing when it is ``None``, so untraced runs pay one attribute
+test per site.  What a record becomes is up to the :class:`Tracer` on
+that handle — the interface is two methods, :meth:`Tracer.record` and
+:meth:`Tracer.record_kernel`, and the base class stores nothing.  The
+observer's :class:`~repro.obs.tracer.ObsTracer` keeps ring-buffered
+events, the sanitizer's tracer (:mod:`repro.verify`) feeds invariant
+monitors, and :class:`MultiTracer` fans one stream out to both.  The
+matching-queue ``q_*`` events are wired by the world builder
+(:mod:`repro.mpi.world`), which hands them to each attachment directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, List
 
 
 @dataclass
@@ -41,45 +42,19 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord`\\ s, optionally filtered by kind."""
+    """The tracer interface: what an emitter may call on ``engine.trace``.
 
-    def __init__(self, kinds: Optional[set] = None, sink: Optional[Callable] = None):
-        #: If not ``None``, only these kinds are recorded.
-        self.kinds = kinds
-        self.records: List[TraceRecord] = []
-        #: Optional callable invoked with each record (e.g. print).
-        self.sink = sink
+    It stores nothing; implementations decide what a record becomes
+    (:class:`MultiTracer` fans out, the sanitizer's tracer feeds invariant
+    monitors, :class:`~repro.obs.tracer.ObsTracer` keeps ring-buffered
+    events).  The base methods ignore every record.
+    """
 
     def record(self, time: float, source: str, kind: str, detail: Any = None) -> None:
-        """Append a record if its kind passes the filter."""
-        if self.kinds is not None and kind not in self.kinds:
-            return
-        rec = TraceRecord(time, source, kind, detail)
-        self.records.append(rec)
-        if self.sink is not None:
-            self.sink(rec)
+        """One traced occurrence from ``source`` at simulated ``time``."""
 
     def record_kernel(self, time: float, event: Any) -> None:
-        """Hook called by the engine for every processed event (noisy;
-        enabled only when ``"kernel"`` is in ``kinds``)."""
-        if self.kinds is not None and "kernel" not in self.kinds:
-            return
-        self.record(time, "engine", "kernel", repr(event))
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All records with the given kind, in emission order."""
-        return [r for r in self.records if r.kind == kind]
-
-    def counts(self) -> dict:
-        """Record count per kind (insertion-ordered)."""
-        out: dict = {}
-        for r in self.records:
-            out[r.kind] = out.get(r.kind, 0) + 1
-        return out
-
-    def clear(self) -> None:
-        """Drop all collected records."""
-        self.records.clear()
+        """Called by the engine for every processed event."""
 
 
 class MultiTracer(Tracer):
@@ -87,13 +62,10 @@ class MultiTracer(Tracer):
 
     Lets independent ambient attachments — e.g. the sanitizer
     (:mod:`repro.verify`) and the observer (:mod:`repro.obs`) — share the
-    single ``Engine.trace`` seam without knowing about each other.  The
-    children keep their own filtering/storage policies; this class stores
-    nothing itself.
+    engine's one ``trace`` handle without knowing about each other.
     """
 
     def __init__(self, children: List[Tracer]):
-        super().__init__()
         self.children = list(children)
 
     def record(self, time: float, source: str, kind: str, detail: Any = None) -> None:

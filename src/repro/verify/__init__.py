@@ -7,9 +7,10 @@ running backwards, negative eager-token counts, corrupted matching lists,
 illegal ``MPI_Request`` transitions — and records each one as a
 :class:`~repro.verify.monitors.Violation`.
 
-The sanitizer hooks into the existing :class:`~repro.sim.trace.Tracer`
-seams, so it is *observation-only*: enabling it never changes simulated
-results (enforced by ``tests/test_verify_golden_drift.py``), and when no
+The sanitizer reads the engine's trace stream and the world's
+matching-queue events (see :mod:`repro.mpi.world`), so it is
+*observation-only*: enabling it never changes simulated results
+(enforced by ``tests/test_verify_golden_drift.py``), and when no
 sanitizer is active every hook collapses to a single ``is not None``
 check.
 

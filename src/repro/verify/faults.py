@@ -126,12 +126,12 @@ class FaultInjector:
 
     def _note(self, name: str, pkt: Optional[Packet] = None) -> None:
         self.injected[name] += 1
-        tracer = self.world.tracer
-        if tracer is not None:
+        trace = self.world.engine.trace
+        if trace is not None:
             detail = (
                 (pkt.kind.value, pkt.msg_id, pkt.index) if pkt is not None else ()
             )
-            tracer.record(
+            trace.record(
                 self.world.engine.now, "fault", f"fault_{name}", detail
             )
 

@@ -5,8 +5,10 @@
 every record to the monitors instead of accumulating it, so checked runs
 stay O(1) in memory with respect to trace volume.  Worlds built while the
 sanitizer is ambient (see :mod:`repro.verify.context`) attach themselves:
-the world's tracer seam carries engine/NIC/link/MPI instrumentation, and
-matching queues get lightweight observers that synthesize ``q_*`` records.
+the engine's ``trace`` carries engine/NIC/link/MPI instrumentation, and
+the world builder hands each matching-queue mutation to
+:meth:`Sanitizer.record_queue` as a ``q_*`` record whose detail is the
+queue's handle (see :mod:`repro.mpi.world`).
 
 The sanitizer never influences the simulation: all hooks are passive
 reads of state the simulator computes anyway, which is what keeps checked
@@ -15,7 +17,7 @@ output bit-identical to unchecked output.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..sim.trace import Tracer, TraceRecord
 from .monitors import CausalityMonitor, InvariantMonitor, Violation, default_monitors
@@ -30,7 +32,6 @@ class SanitizerTracer(Tracer):
     """
 
     def __init__(self, sanitizer: "Sanitizer") -> None:
-        super().__init__()
         self._sanitizer = sanitizer
         self._last_kernel_t = float("-inf")
 
@@ -73,35 +74,18 @@ class Sanitizer:
 
     # ------------------------------------------------------------ attachment
     def install(self, world: Any) -> None:
-        """Attach monitors and queue observers to a freshly built world.
+        """Register a freshly built world for the end-of-run checks.
 
         Called automatically by :func:`repro.mpi.world.build_world` when
         this sanitizer is ambient and provided the world's tracer.
         """
         self.worlds.append(world)
-        engine = world.engine
-        for ep in world.endpoints:
-            dev = ep.device
-            for attr in ("posted", "k_posted"):
-                q = getattr(dev, attr, None)
-                if q is not None:
-                    q.observer = self._queue_observer(
-                        engine, f"rank{dev.rank}.{attr}"
-                    )
-            for attr in ("unexpected", "k_unexpected"):
-                q = getattr(dev, attr, None)
-                if q is not None:
-                    q.observer = self._queue_observer(
-                        engine, f"rank{dev.rank}.{attr}", unexpected=True
-                    )
 
-    def _queue_observer(
-        self, engine: Any, source: str, unexpected: bool = False
-    ) -> Callable[[str, Any], None]:
-        prefix = "q_unex_" if unexpected else "q_"
-        def observe(op: str, obj: Any) -> None:
-            self.dispatch(TraceRecord(engine.now, source, prefix + op, obj))
-        return observe
+    def record_queue(self, time: float, source: str, kind: str,
+                     handle: Any) -> None:
+        """One matching-queue event; the monitors read the handle's
+        request/message ids and completion state."""
+        self.tracer.record(time, source, kind, handle)
 
     # -------------------------------------------------------------- dispatch
     def dispatch(self, rec: TraceRecord) -> None:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.config import FaultConfig, gm_system, portals_system
 from repro.mpi import build_world
-from repro.sim import Engine, SimulationError, Tracer
+from repro.obs import ObsTracer
+from repro.sim import Engine, SimulationError
 
 KB = 1024
 
@@ -61,7 +62,7 @@ class TestGmOverLossyWire:
 
 class TestTracing:
     def test_wire_events_recorded(self, gm):
-        tracer = Tracer(kinds={"wire_tx", "wire_rx", "packet_tx"})
+        tracer = ObsTracer()
         world = build_world(gm, tracer=tracer)
         engine = world.engine
         h0 = world.endpoint(0).bind(world.cluster[0].new_context("a"))
@@ -81,11 +82,11 @@ class TestTracing:
         assert len(tx) >= 3  # 10 KB = 3 MTU fragments
         assert len(rx) >= 3
         # Chronological order within each stream.
-        times = [r.time for r in rx]
+        times = [r.time_s for r in rx]
         assert times == sorted(times)
 
     def test_drop_events_recorded(self):
-        tracer = Tracer(kinds={"wire_drop"})
+        tracer = ObsTracer()
         lossy = dataclasses.replace(
             portals_system(), machine=dataclasses.replace(
                 portals_system().machine,
@@ -178,7 +179,7 @@ class TestInterleaveDrain:
 
 class TestEngineTraceHook:
     def test_kernel_trace_records_processed_events(self):
-        tracer = Tracer(kinds={"kernel"})
+        tracer = ObsTracer(kernel=True)
         engine = Engine(trace=tracer)
         engine.timeout(1.0)
         engine.timeout(2.0)

@@ -295,13 +295,6 @@ class TestMemo:
         b = _poll(ex).points[0]
         assert a == b and a is not b
 
-    def test_memoize_off_resimulates(self):
-        ex = SweepExecutor(jobs=1, memoize=False)
-        _poll(ex)
-        _poll(ex)
-        assert ex.stats.misses == 2 * len(GRID)
-        assert ex.stats.hits == 0
-
 
 # ----------------------------------------------------------------- resolution
 class TestExecutorResolution:

@@ -105,13 +105,6 @@ class TestObsTracer:
             tr.record(float(i), "s", "even" if i % 2 == 0 else "odd", i)
         assert [ev.detail for ev in tr.events()] == [0, 1, 2, 3, 4, 5]
 
-    def test_kind_filter(self):
-        tr = ObsTracer(kinds={"keep"})
-        tr.record(0.0, "s", "keep", None)
-        tr.record(0.0, "s", "drop", None)
-        assert set(tr.counts()) == {"keep"}
-        assert len(tr.events()) == 1
-
     def test_kernel_stream_off_by_default(self):
         tr = ObsTracer()
         tr.record_kernel(0.5, object())
@@ -150,11 +143,11 @@ class TestObsTracer:
 
     def test_dispatch_hook_sees_stored_events_only(self):
         seen = []
-        tr = ObsTracer(kinds={"keep"})
+        tr = ObsTracer()
         tr.dispatch = seen.append
         tr.record(0.0, "s", "keep", 1)
-        tr.record(0.0, "s", "drop", 2)
-        assert [ev.detail for ev in seen] == [1]
+        tr.record(0.0, "s", "also", 2)
+        assert seen == tr.events()
 
 
 # ------------------------------------------------------------------- metrics

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import ObsTracer
 from repro.sim import Engine, RngRegistry, Tracer
 from repro.sim.units import (
     kib,
@@ -50,37 +51,45 @@ class TestRng:
 
 
 class TestTracer:
+    def test_base_tracer_is_an_interface_that_stores_nothing(self):
+        tr = Tracer()
+        tr.record(1.0, "s", "x", None)
+        tr.record_kernel(1.0, object())
+        assert vars(tr) == {}
+
     def test_records_and_filters(self):
-        tr = Tracer(kinds={"keep"})
+        tr = ObsTracer()
         tr.record(1.0, "src", "keep", "a")
         tr.record(2.0, "src", "drop", "b")
-        assert len(tr.records) == 1
+        assert len(tr.of_kind("keep")) == 1
         assert tr.of_kind("keep")[0].detail == "a"
 
     def test_unfiltered_records_everything(self):
-        tr = Tracer()
+        tr = ObsTracer()
         tr.record(1.0, "s", "x")
         tr.record(2.0, "s", "y")
-        assert len(tr.records) == 2
+        assert len(tr.events()) == 2
 
     def test_sink_invoked(self):
         seen = []
-        tr = Tracer(sink=seen.append)
+        tr = ObsTracer()
+        tr.dispatch = seen.append
         tr.record(0.0, "s", "k")
         assert len(seen) == 1
 
     def test_engine_kernel_tracing_gated(self):
-        tr = Tracer(kinds={"kernel"})
-        eng = Engine(trace=tr)
-        eng.timeout(1.0)
-        eng.run()
-        assert tr.of_kind("kernel")
+        for kernel in (False, True):
+            tr = ObsTracer(kernel=kernel)
+            eng = Engine(trace=tr)
+            eng.timeout(1.0)
+            eng.run()
+            assert bool(tr.of_kind("kernel")) is kernel
 
     def test_clear(self):
-        tr = Tracer()
+        tr = ObsTracer()
         tr.record(0.0, "s", "k")
         tr.clear()
-        assert tr.records == []
+        assert tr.events() == []
 
 
 class TestUnits:

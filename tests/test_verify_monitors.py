@@ -319,7 +319,8 @@ class TestSanitizer:
 
     def test_tracer_stores_nothing(self):
         san = run_scripted(gm_system(), n_msgs=1)
-        assert san.tracer.records == []
+        # Its only state: the sanitizer it feeds and the last kernel time.
+        assert set(vars(san.tracer)) == {"_sanitizer", "_last_kernel_t"}
 
     def test_finalize_idempotent(self):
         san = run_scripted(gm_system(), n_msgs=1)
@@ -327,7 +328,6 @@ class TestSanitizer:
 
     def test_detached_world_has_no_tracer(self):
         world = build_world(gm_system())
-        assert world.tracer is None
         assert world.engine.trace is None
         assert world.endpoints[0].device.posted.observer is None
 
@@ -337,8 +337,9 @@ class TestSanitizer:
         mine = Tracer()
         with use_sanitizer(Sanitizer()) as san:
             world = build_world(gm_system(), tracer=mine)
-        assert world.tracer is mine
+        assert world.engine.trace is mine
         assert san.worlds == []
+        assert world.endpoints[0].device.posted.observer is None
 
     def test_violations_are_picklable(self):
         import pickle
