@@ -9,7 +9,7 @@ Subcommands::
     comb netperf --system GM --mode busywait
     comb figures [--ids fig08 fig11] [--per-decade 2] [--out results/]
     comb report  [--per-decade 2]
-    comb bench   [--no-cache] [--profile fig04] [--compare]
+    comb compare [baseline candidate]
     comb history [--figure fig08] [--last 5] [--format json]
     comb top     results/stream.ndjson [--once]
 
@@ -50,23 +50,15 @@ availability loss is decomposed into named causes
 (:mod:`repro.obs.attribution`), printed as a table and exported as
 ``<target>.attribution.json``.
 
-``comb bench`` times one pass over the benchmark grid and appends a
-``BENCH_<n>.json`` record to the performance-trajectory directory
-(``results/bench`` by default): total and per-figure wall time, executor
-cache stats, the engine's dispatched-event count (the simulator's own
-cost model), and whether the compiled core (:mod:`repro.compiled`) was
-active.  ``--profile FIGID`` additionally embeds a cProfile
-top-cumulative table over one figure so hot-path claims stay backed by
-recorded evidence.
+``figures`` and ``report`` exit 1 when a paper claim fails.
 
 ``comb compare`` doubles as the statistical regression sentinel: with
-two run paths (``metrics.json`` / ``BENCH_*.json`` files or directories
-of them) it bootstraps confidence intervals over median differences and
-exits 1 on significant regressions; with one BENCH history directory it
-judges the newest record against all older ones, skipping cleanly while
-the history is too short (see :mod:`repro.obs.compare`).  ``--format
-json`` emits the verdict machine-readably (per-metric CIs, the
-regression list, and the exit-status rationale).
+two run paths (run-ledger ``.jsonl`` files, ``metrics.json`` sidecars,
+or directories of them) it bootstraps confidence intervals over median
+differences and exits 1 on significant regressions (see
+:mod:`repro.obs.compare`).  ``--format json`` emits the verdict
+machine-readably (per-metric CIs, the regression list, and the
+exit-status rationale).
 
 Live telemetry (``figures``, ``report``): ``--progress`` renders a live
 status line with per-worker heartbeats and a cache-aware ETA;
@@ -438,43 +430,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_executor_flags(p)
 
     p = sub.add_parser(
-        "bench",
-        help="time the benchmark grid; append a BENCH_<n>.json trajectory "
-        "record (wall times, cache stats, engine event counts)",
-    )
-    p.add_argument("--ids", nargs="*", default=None,
-                   help="subset of figure ids (default: all)")
-    p.add_argument("--per-decade", type=int, default=1,
-                   help="grid resolution (default: 1, the coarse grid)")
-    p.add_argument("--out-dir", default=None,
-                   help="trajectory directory (default: results/bench)")
-    p.add_argument("--profile", default=None, metavar="FIGID",
-                   help="additionally cProfile one figure (serial, "
-                   "uncached) and embed the top cumulative-time rows "
-                   "in the record")
-    p.add_argument("--compare", action="store_true",
-                   help="after recording, judge the new record against the "
-                   "trajectory's older records (regression sentinel)")
-    p.add_argument("--fail-on-regression", action="store_true",
-                   help="with --compare: exit nonzero when the new record "
-                   "regresses significantly")
-    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                   help="worker processes for sweep points (default: 1)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the on-disk point cache (cold timings)")
-    p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                   help=f"point-cache directory (default: {DEFAULT_CACHE_DIR})")
-    _add_ledger_flags(p)
-
-    p = sub.add_parser(
         "compare",
         help="system comparison table (no args), or the statistical "
-        "regression sentinel over run profiles (run paths)",
+        "regression sentinel over two run profiles",
     )
     p.add_argument("runs", nargs="*", default=[],
-                   help="0 args: system table; 1 arg: BENCH history dir "
-                   "(newest record vs all older); 2 args: baseline run "
-                   "vs candidate run (file or directory each)")
+                   help="0 args: system table; 2 args: baseline run vs "
+                   "candidate run (ledger .jsonl, metrics.json, or a "
+                   "directory of them each)")
     p.add_argument("--systems", nargs="*", default=None,
                    help="preset names (default: all, plus the offload NIC)")
     p.add_argument("--size", type=float, default=100,
@@ -482,8 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-rel", type=float, default=None, metavar="FRAC",
                    help="minimum relative slowdown to call a regression "
                    "(default: 0.05)")
-    p.add_argument("--min-records", type=int, default=None, metavar="N",
-                   help="baseline samples required per metric (default: 2)")
+    p.add_argument("--min-records", type=int, default=1, metavar="N",
+                   help="baseline samples required per metric (default: 1)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="verdict output format (json: machine-readable "
                    "regressions, CIs, and exit-status rationale)")
@@ -787,129 +750,35 @@ def _write_attribution(events, out_dir, target) -> object:
     return path
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """``comb bench``: one timed pass over the grid, one BENCH record."""
-    from pathlib import Path
-
-    import uuid
-
-    from .core.bench import DEFAULT_OUT_DIR, run_bench, write_record
-
-    cache = None if args.no_cache else PointCache(args.cache_dir)
-    ledger = None
-    if not args.no_ledger:
-        from .obs.ledger import RunLedger
-
-        ledger_dir = Path(args.ledger_dir)
-        try:
-            ledger = RunLedger(ledger_dir, uuid.uuid4().hex[:12], "bench")
-        except OSError as exc:
-            print(f"error: cannot open run ledger under {ledger_dir}: {exc}",
-                  file=sys.stderr)
-            return 1
-    try:
-        record = run_bench(ids=args.ids, per_decade=args.per_decade,
-                           jobs=args.jobs, cache=cache,
-                           profile=args.profile, echo=print, ledger=ledger)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if ledger is not None:
-            ledger.close()
-    out_dir = Path(args.out_dir) if args.out_dir else DEFAULT_OUT_DIR
-    path = write_record(record, out_dir)
-    cache_doc = record["cache"]
-    lookups = cache_doc["hits"] + cache_doc["misses"]
-    line = (f"\ntotal {record['total_s']:.2f}s, cache hit rate "
-            f"{cache_doc['hit_rate']:.0%} ({cache_doc['hits']}/{lookups})")
-    if "events_processed" in record:
-        line += f", {record['events_processed']:,} engine events"
-    print(line)
-    print(f"wrote {path}")
-    if args.compare:
-        from .obs.compare import DEFAULT_MIN_RECORDS, compare_history
-
-        report = compare_history(out_dir)
-        if report is None:
-            print(f"compare: insufficient history — fewer than "
-                  f"{DEFAULT_MIN_RECORDS + 1} BENCH records in {out_dir}; "
-                  f"nothing to judge yet")
-        else:
-            print(f"compare: {path.name} vs the trajectory's older records")
-            print(report.format())
-            if args.fail_on_regression and report.exit_code:
-                return report.exit_code
-    return 0 if record["claims_ok"] else 1
-
-
 def _run_compare_runs(args: argparse.Namespace) -> int:
-    """``comb compare <runs…>``: the statistical regression sentinel."""
+    """``comb compare A B``: the statistical regression sentinel."""
     import json as _json
     from pathlib import Path
 
-    from .obs import compare_history, compare_paths
-    from .obs.compare import DEFAULT_MIN_RECORDS, DEFAULT_MIN_REL
+    from .obs import compare_paths
+    from .obs.compare import DEFAULT_MIN_REL
 
-    as_json = getattr(args, "format", "text") == "json"
-    min_rel = args.min_rel if args.min_rel is not None else DEFAULT_MIN_REL
-    min_records = (args.min_records if args.min_records is not None
-                   else DEFAULT_MIN_RECORDS)
+    if len(args.runs) != 2:
+        print("error: compare takes 0 run paths (system table) or 2 "
+              "(baseline candidate)", file=sys.stderr)
+        return 2
     runs = [Path(r) for r in args.runs]
     for run in runs:
         if not run.exists():
             print(f"error: run path {run} does not exist", file=sys.stderr)
             return 2
-    if len(runs) == 1:
-        # History mode: either a BENCH trajectory directory or a run
-        # ledger file (newest vs older makes no sense for a ledger, so
-        # ledgers are only valid as one side of an A-vs-B compare).
-        if not runs[0].is_dir():
-            print(f"error: history mode needs a directory of BENCH_*.json "
-                  f"records, got {runs[0]}", file=sys.stderr)
-            return 2
-        report = compare_history(runs[0], min_rel=min_rel,
-                                 min_records=min_records)
-        if report is None:
-            # Degenerate histories (a single record, or --min-records 0
-            # against one) are "insufficient history", never judged
-            # against an empty/zero-width baseline.
-            if as_json:
-                print(_json.dumps({
-                    "schema_version": 1,
-                    "comparisons": [], "skipped": [], "regressions": [],
-                    "exit_code": 0,
-                    "exit_rationale": (
-                        f"insufficient history: fewer than "
-                        f"{max(min_records, 1) + 1} BENCH records"
-                    ),
-                }, indent=2, sort_keys=True))
-            else:
-                print(f"compare: insufficient history — fewer than "
-                      f"{max(min_records, 1) + 1} BENCH records in "
-                      f"{runs[0]}; nothing to judge yet (not a failure)")
-            return 0
-        if not as_json:
-            print(f"compare: newest record in {runs[0]} vs all older "
-                  f"records")
-    elif len(runs) == 2:
-        # Explicit A-vs-B: the user picked the samples, so singleton
-        # baselines are judged (zero-width CI) instead of skipped;
-        # --min-records restores the stricter gate.
-        report = compare_paths(
-            runs[0], runs[1], min_rel=min_rel,
-            min_records=min_records if args.min_records is not None else 1,
-        )
-        if not as_json:
-            print(f"compare: {runs[1]} (candidate) vs {runs[0]} (baseline)")
-    else:
-        print("error: compare takes 0 run paths (system table), 1 "
-              "(BENCH history dir), or 2 (baseline candidate)",
-              file=sys.stderr)
-        return 2
-    if as_json:
+    # The user picked the samples, so singleton baselines are judged
+    # (zero-width CI) instead of skipped; --min-records sets a stricter
+    # gate.
+    report = compare_paths(
+        runs[0], runs[1],
+        min_rel=args.min_rel if args.min_rel is not None else DEFAULT_MIN_REL,
+        min_records=args.min_records,
+    )
+    if args.format == "json":
         print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
+        print(f"compare: {runs[1]} (candidate) vs {runs[0]} (baseline)")
         print(report.format())
     return report.exit_code
 
@@ -1094,12 +963,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"  [{mark}] {c.claim} ({c.detail})")
         if _report_disagreements(executor.disagreements):
             return 1
-        if args.check:
-            return _report_violations(executor.violations)
-        return 0
-
-    if args.command == "bench":
-        return _run_bench(args)
+        if args.check and _report_violations(executor.violations):
+            return 1
+        return 0 if all(r.ok for r in reports) else 1
 
     if args.command == "history":
         return _run_history(args)

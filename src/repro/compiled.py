@@ -14,9 +14,9 @@ This module is the *gate and the report*, not the build:
 
 * :func:`requested` — did the user opt in (``COMB_COMPILED=1``)?
 * :func:`active` — is the C kernel actually driving this process?
-* :func:`status` — both, plus a human-readable detail line; recorded in
-  every ``BENCH_<n>.json`` so performance records always say which core
-  produced them.
+* :func:`status` — both, plus a human-readable detail line.  Run-ledger
+  ``run`` records and perfbench records carry :func:`active`, so
+  performance records always say which core produced them.
 
 Opting in without a compiled build present is not an error: the pure
 Python classes load as always and :func:`active` reports ``False``.

@@ -25,6 +25,7 @@ by :func:`repro.mpi.world.build_world`, which accepts ``topology=``.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from ..config import NicConfig, SwitchConfig
@@ -258,7 +259,9 @@ class FatTree(Topology):
                 f"{k * hosts_per_edge}-host capacity"
             )
         n_edge = -(-n_nodes // hosts_per_edge)  # ceil division
-        sw_cfg = system.machine.switch
+        # Tree switches have radix k, whatever the system's crossbar switch
+        # has; the port count gates capacity only, never timing.
+        sw_cfg = dataclasses.replace(system.machine.switch, ports=k)
         nic_cfg = system.machine.nic
         self.edges = [
             TreeSwitch(engine, sw_cfg, nic_cfg, f"edge{e}")

@@ -37,7 +37,6 @@ from .attribution import (
 from .compare import (
     CompareReport,
     MetricComparison,
-    compare_history,
     compare_paths,
     compare_samples,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "attribute_events",
     "attribute_window",
     "chrome_trace",
-    "compare_history",
     "compare_paths",
     "compare_samples",
     "current_observer",

@@ -6,11 +6,11 @@ nonparametrically — per-metric medians with a bootstrap confidence
 interval on the median difference — and only calls something a
 regression when the whole interval clears a minimum relative slowdown.
 
-Inputs are the JSON documents the suite already writes: ``BENCH_<n>.json``
-trajectory records (``comb bench``) and ``metrics.json``
-sidecars (``comb … --metrics``).  A *run* argument may be a single file
-or a directory of them (every ``BENCH_*.json`` / ``*metrics*.json``
-inside becomes one sample).
+Inputs are the documents the suite already writes: run ledgers
+(``results/ledger/ledger.jsonl``, one sample per ``run`` record) and
+``metrics.json`` sidecars (``comb … --metrics``).  A *run* argument may
+be a single file or a directory of them (every ``*.jsonl`` /
+``*metrics*.json`` inside contributes samples).
 
 The bootstrap RNG is seeded, so comparisons are reproducible; two
 identical samples always yield a zero-width interval at zero and hence
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +41,8 @@ BOOTSTRAP_SEED = 20260806
 def scalar_profile(doc: Dict[str, object]) -> Dict[str, float]:
     """Flatten one run document into ``{metric_name: seconds}``.
 
-    Understands both record shapes the suite writes; unknown keys are
-    ignored, so old and new records mix freely in one history dir.
+    Understands both document shapes the suite writes (ledger ``run``
+    records and ``metrics.json`` sidecars); unknown keys are ignored.
     Only time-like scalars are extracted — counters of work volume
     (cache hits, points simulated) are configuration echoes, not
     performance, and would false-positive on grid changes.
@@ -87,9 +87,7 @@ def load_samples(run: Path) -> Dict[str, List[float]]:
     """
     if run.is_dir():
         paths = sorted(
-            set(run.glob("BENCH_*.json"))
-            | set(run.glob("*metrics*.json"))
-            | set(run.glob("*.jsonl"))
+            set(run.glob("*metrics*.json")) | set(run.glob("*.jsonl"))
         )
     else:
         paths = [run]
@@ -299,39 +297,3 @@ def compare_paths(
         min_records=min_records,
     )
 
-
-def compare_history(
-    history_dir: Path,
-    min_rel: float = DEFAULT_MIN_REL,
-    min_records: int = DEFAULT_MIN_RECORDS,
-) -> Optional[CompareReport]:
-    """History mode: newest ``BENCH_<n>.json`` against all older ones.
-
-    Returns ``None`` when the directory holds fewer than
-    ``min_records + 1`` records — callers should *skip cleanly* (exit
-    0), which is what the CI sentinel job does while the committed
-    trajectory is still short.  ``min_records`` is clamped to at least 1
-    here: a single-record history has no baseline at all, and judging
-    the newest record against an empty sample set would produce
-    degenerate (zero-width) confidence intervals, so even
-    ``min_records=0`` reports insufficient history instead.
-    """
-    records: List[Tuple[int, Path]] = []
-    for path in history_dir.glob("BENCH_*.json"):
-        stem_n = path.stem.split("_", 1)[-1]
-        if stem_n.isdigit():
-            records.append((int(stem_n), path))
-    records.sort()
-    if len(records) < max(min_records, 1) + 1:
-        return None
-    *older, (_, newest) = records
-    baseline: Dict[str, List[float]] = {}
-    for _, path in older:
-        for name, values in load_samples(path).items():
-            baseline.setdefault(name, []).extend(values)
-    return compare_samples(
-        baseline,
-        load_samples(newest),
-        min_rel=min_rel,
-        min_records=min_records,
-    )

@@ -97,7 +97,6 @@ class RunLedger:
         reps: int,
         cache: Dict[str, Any],
         figures: Optional[Dict[str, float]] = None,
-        total_s: Optional[float] = None,
         claims_ok: Optional[bool] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -109,7 +108,8 @@ class RunLedger:
             "cmd": self.cmd,
             "timestamp": timestamp,
             "wall_s": wall_s,
-            "total_s": total_s if total_s is not None else wall_s,
+            # The run-total key ``comb compare`` samples (scalar_profile).
+            "total_s": wall_s,
             "compiled": compiled,
             "reps": reps,
             "points": self.points,

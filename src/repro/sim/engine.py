@@ -40,8 +40,8 @@ class Engine:
         self._active_process: Optional[Process] = None
         self.trace = trace
         #: Heap events dispatched so far — the cost model of the simulator
-        #: itself.  Burst batching exists to shrink this number; the bench
-        #: tooling and the event-count regression tests read it.
+        #: itself.  Burst batching exists to shrink this number; perfbench
+        #: and the event-count regression tests read it.
         self.events_processed = 0
 
     # ----------------------------------------------------------------- clock

@@ -51,6 +51,17 @@ class TestFiguresCommand:
         assert data["fig_id"] == "fig13"
         assert "[PASS]" in out
 
+    def test_failed_claim_exits_1(self, capsys, monkeypatch):
+        from repro.analysis.claims import ALL_CLAIMS, ClaimResult
+
+        monkeypatch.setitem(ALL_CLAIMS, "fig13", lambda fig: [
+            ClaimResult("fig13", "forced failure", False, "monkeypatched"),
+        ])
+        rc = main(["figures", "--ids", "fig13", "--per-decade", "1",
+                   "--no-plots", "--no-ledger"])
+        assert "[FAIL] forced failure" in capsys.readouterr().out
+        assert rc == 1
+
     def test_plots_rendered_by_default(self, capsys):
         rc = main(["figures", "--ids", "fig13", "--per-decade", "1"])
         out = capsys.readouterr().out

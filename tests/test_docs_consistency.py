@@ -1,7 +1,8 @@
 """Consistency checks between documentation and the repository.
 
 Docs that reference files which do not exist rot silently; these tests
-keep README.md, DESIGN.md and EXPERIMENTS.md anchored to reality.
+keep README.md, DESIGN.md, EXPERIMENTS.md and the CLI examples in
+docs/, CONTRIBUTING.md and the verify skill anchored to reality.
 """
 
 import re
@@ -32,14 +33,22 @@ class TestReadme:
         assert pt.availability > 0.95
 
     def test_cli_commands_listed_exist(self):
+        """Every ``comb <cmd>`` line in the docs names a real subcommand
+        (env assignments such as ``COMB_COMPILED=1`` may prefix it)."""
         from repro.cli import _build_parser
 
         parser = _build_parser()
         sub = next(a for a in parser._actions
                    if hasattr(a, "choices") and a.choices)
         known = set(sub.choices)
-        for cmd in re.findall(r"^comb (\w+)", _read("README.md"), re.M):
-            assert cmd in known, f"README documents unknown command {cmd!r}"
+        docs = [ROOT / "README.md", ROOT / "CONTRIBUTING.md",
+                ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+                *sorted((ROOT / "docs").glob("*.md"))]
+        line = re.compile(r"^\s*(?:[A-Z_]+=\S*\s+)*comb (\w+)", re.M)
+        for doc in docs:
+            for cmd in line.findall(doc.read_text()):
+                assert cmd in known, \
+                    f"{doc.name} documents unknown command {cmd!r}"
 
 
 class TestDesign:

@@ -133,6 +133,16 @@ class TestPointCache:
         assert ex2.stats.hits == len(GRID) and ex2.stats.misses == 0
         assert plain.points == first.points == second.points
 
+    def test_pooled_fill_warms_a_fresh_serial_run(self, tmp_path):
+        """Points a pool stored are served to a later serial process."""
+        with SweepExecutor(jobs=2, cache=PointCache(tmp_path)) as pool_ex:
+            pooled = (_poll(pool_ex), _pww(pool_ex))
+        serial_ex = SweepExecutor(jobs=1, cache=PointCache(tmp_path))
+        warm = (_poll(serial_ex), _pww(serial_ex))
+        assert serial_ex.stats.misses == 0
+        assert serial_ex.stats.hits == 2 * len(GRID)
+        assert [s.points for s in warm] == [s.points for s in pooled]
+
     def test_pww_round_trip_bit_exact(self, tmp_path):
         plain = _pww(None)
         _pww(SweepExecutor(jobs=1, cache=PointCache(tmp_path)))

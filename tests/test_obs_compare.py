@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import (
-    compare_history,
-    compare_paths,
-    compare_samples,
-)
+from repro.obs import compare_paths, compare_samples
 from repro.obs.compare import (
     bootstrap_median_diff,
     load_samples,
@@ -16,8 +12,10 @@ from repro.obs.compare import (
 )
 
 
-def _bench_doc(total_s, fig04_s, extra_metrics=None):
+def _run_doc(total_s, fig04_s, extra_metrics=None):
+    """The run-total shape of a ledger ``run`` record."""
     doc = {
+        "rec": "run",
         "timestamp": "2026-08-06T00:00:00+00:00",
         "total_s": total_s,
         "figures": {"fig04": fig04_s},
@@ -33,9 +31,14 @@ def _write(path, doc):
     return path
 
 
+def _write_ledger(path, *docs):
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    return path
+
+
 # ------------------------------------------------------------ scalar_profile
 def test_scalar_profile_bench_shape():
-    prof = scalar_profile(_bench_doc(9.5, 1.25))
+    prof = scalar_profile(_run_doc(9.5, 1.25))
     assert prof == {"total_s": 9.5, "figures.fig04": 1.25}
 
 
@@ -65,16 +68,16 @@ def test_scalar_profile_garbage_tolerant():
 
 # -------------------------------------------------------------- load_samples
 def test_load_samples_directory(tmp_path):
-    _write(tmp_path / "BENCH_1.json", _bench_doc(10.0, 1.0))
-    _write(tmp_path / "BENCH_2.json", _bench_doc(11.0, 1.1))
-    (tmp_path / "BENCH_3.json").write_text("{corrupt")
+    _write_ledger(tmp_path / "a.jsonl", _run_doc(10.0, 1.0))
+    _write(tmp_path / "b.metrics.json", _run_doc(11.0, 1.1))
+    (tmp_path / "c.metrics.json").write_text("{corrupt")
     (tmp_path / "notes.txt").write_text("ignored")
     samples = load_samples(tmp_path)
     assert sorted(samples["total_s"]) == [10.0, 11.0]
 
 
 def test_load_samples_single_file(tmp_path):
-    path = _write(tmp_path / "metrics.json", _bench_doc(5.0, 0.5))
+    path = _write(tmp_path / "metrics.json", _run_doc(5.0, 0.5))
     assert load_samples(path)["total_s"] == [5.0]
 
 
@@ -168,89 +171,44 @@ def test_report_format_mentions_verdict():
 
 # ------------------------------------------------------------- path-level API
 def test_compare_paths_identical_files(tmp_path):
-    a = _write(tmp_path / "a.json", _bench_doc(3.0, 1.0))
-    b = _write(tmp_path / "b.json", _bench_doc(3.0, 1.0))
+    a = _write_ledger(tmp_path / "a.jsonl", _run_doc(3.0, 1.0))
+    b = _write_ledger(tmp_path / "b.jsonl", _run_doc(3.0, 1.0))
     report = compare_paths(a, b, min_records=1)
     assert report.exit_code == 0
     assert len(report.comparisons) == 2
-
-
-def test_compare_history_short_returns_none(tmp_path):
-    _write(tmp_path / "BENCH_1.json", _bench_doc(1.0, 1.0))
-    _write(tmp_path / "BENCH_2.json", _bench_doc(1.0, 1.0))
-    assert compare_history(tmp_path) is None
-
-
-def test_compare_history_judges_newest(tmp_path):
-    for n, total in ((1, 1.0), (2, 1.02), (3, 0.98)):
-        _write(tmp_path / f"BENCH_{n}.json", _bench_doc(total, total))
-    _write(tmp_path / "BENCH_4.json", _bench_doc(5.0, 5.0))
-    report = compare_history(tmp_path)
-    assert report is not None
-    assert report.exit_code == 1
-    assert {c.name for c in report.regressions} == {"total_s",
-                                                    "figures.fig04"}
-
-
-def test_compare_history_numeric_order(tmp_path):
-    """BENCH_10 is newer than BENCH_9 (numeric, not lexicographic)."""
-    for n in range(1, 10):
-        _write(tmp_path / f"BENCH_{n}.json", _bench_doc(1.0, 1.0))
-    _write(tmp_path / "BENCH_10.json", _bench_doc(9.0, 9.0))
-    report = compare_history(tmp_path)
-    assert report is not None
-    assert report.exit_code == 1
 
 
 # ---------------------------------------------------------------- CLI seam
 def test_cli_compare_identical(tmp_path, capsys):
     from repro.cli import main
 
-    a = _write(tmp_path / "a.json", _bench_doc(3.0, 1.0))
-    b = _write(tmp_path / "b.json", _bench_doc(3.0, 1.0))
+    a = _write_ledger(tmp_path / "a.jsonl", _run_doc(3.0, 1.0))
+    b = _write_ledger(tmp_path / "b.jsonl", _run_doc(3.0, 1.0))
     assert main(["compare", str(a), str(b)]) == 0
     out = capsys.readouterr().out
     assert "0 regressions" in out
 
 
 def test_cli_compare_regression_exit_code(tmp_path):
-    a = _write(tmp_path / "a.json", _bench_doc(1.0, 1.0))
-    b = _write(tmp_path / "b.json", _bench_doc(9.0, 9.0))
+    a = _write_ledger(tmp_path / "a.jsonl", _run_doc(1.0, 1.0))
+    b = _write_ledger(tmp_path / "b.jsonl", _run_doc(9.0, 9.0))
     from repro.cli import main
 
     assert main(["compare", str(a), str(b)]) == 1
 
 
-def test_cli_compare_short_history_skips(tmp_path, capsys):
-    from repro.cli import main
-
-    _write(tmp_path / "BENCH_1.json", _bench_doc(1.0, 1.0))
-    assert main(["compare", str(tmp_path)]) == 0
-    assert "nothing to judge" in capsys.readouterr().out
-
-
-def test_single_record_history_never_judged(tmp_path, capsys):
-    """A one-record history is "insufficient", even with --min-records 0.
-
-    Regression test: judging the sole record against an empty baseline
-    would have produced degenerate zero-width CIs; the clamp in
-    ``compare_history`` must report insufficient history instead, and
-    the CLI must exit 0.
-    """
-    from repro.cli import main
-
-    _write(tmp_path / "BENCH_1.json", _bench_doc(1.0, 1.0))
-    assert compare_history(tmp_path, min_records=0) is None
-    assert main(["compare", str(tmp_path), "--min-records", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "insufficient history" in out
-    assert "nothing to judge" in out
-
-
 def test_cli_compare_missing_path(tmp_path):
     from repro.cli import main
 
-    assert main(["compare", str(tmp_path / "nope")]) == 2
+    a = _write_ledger(tmp_path / "a.jsonl", _run_doc(1.0, 1.0))
+    assert main(["compare", str(a), str(tmp_path / "nope")]) == 2
+
+
+def test_cli_compare_one_run_rejected(tmp_path):
+    from repro.cli import main
+
+    a = _write_ledger(tmp_path / "a.jsonl", _run_doc(1.0, 1.0))
+    assert main(["compare", str(a)]) == 2
 
 
 def test_cli_compare_too_many_runs(tmp_path):
@@ -258,6 +216,6 @@ def test_cli_compare_too_many_runs(tmp_path):
 
     paths = []
     for name in ("a", "b", "c"):
-        paths.append(str(_write(tmp_path / f"{name}.json",
-                                _bench_doc(1.0, 1.0))))
+        paths.append(str(_write_ledger(tmp_path / f"{name}.jsonl",
+                                       _run_doc(1.0, 1.0))))
     assert main(["compare", *paths]) == 2

@@ -290,23 +290,20 @@ class TestUnwritableTargets:
 
 
 # ------------------------------------------------------ CLI: compare formats
-def _bench_doc(total_s, fig04_s):
-    return {"timestamp": "2026-08-06T00:00:00+00:00", "total_s": total_s,
-            "figures": {"fig04": fig04_s}, "claims_ok": True}
+def _ledger_of_runs(ledger_dir, totals_s, fig04_s):
+    """A ledger holding one ``run`` record per total (total_s = wall_s)."""
+    ledger = RunLedger(ledger_dir, "r1", "figures")
+    for total_s in totals_s:
+        ledger.record_run(**{**RUN_META, "wall_s": total_s},
+                          figures={"fig04": fig04_s}, claims_ok=True)
+    ledger.close()
+    return ledger_path(ledger_dir)
 
 
 class TestCompareJson:
     def test_json_verdict_shape(self, tmp_path, capsys):
-        base = tmp_path / "base"
-        cand = tmp_path / "cand"
-        base.mkdir()
-        cand.mkdir()
-        for i, total_s in enumerate((10.0, 10.1, 9.9), start=1):
-            (base / f"BENCH_{i}.json").write_text(
-                json.dumps(_bench_doc(total_s, 1.0)))
-        for i, total_s in enumerate((20.0, 20.1, 19.9), start=1):
-            (cand / f"BENCH_{i}.json").write_text(
-                json.dumps(_bench_doc(total_s, 2.0)))
+        base = _ledger_of_runs(tmp_path / "base", (10.0, 10.1, 9.9), 1.0)
+        cand = _ledger_of_runs(tmp_path / "cand", (20.0, 20.1, 19.9), 2.0)
         code = main(["compare", str(base), str(cand), "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 1 and doc["exit_code"] == 1
@@ -317,20 +314,11 @@ class TestCompareJson:
         assert by_name["total_s"]["regression"] is True
         assert by_name["total_s"]["ci_low_s"] > 0
 
-    def test_json_insufficient_history(self, tmp_path, capsys):
-        hist = tmp_path / "hist"
-        hist.mkdir()
-        (hist / "BENCH_1.json").write_text(json.dumps(_bench_doc(10.0, 1.0)))
-        code = main(["compare", str(hist), "--format", "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 0 and doc["exit_code"] == 0
-        assert "insufficient history" in doc["exit_rationale"]
-        assert doc["comparisons"] == []
-
     def test_ledger_file_as_history_source(self, tmp_path, capsys):
         base = tmp_path / "base"
         base.mkdir()
-        (base / "BENCH_1.json").write_text(json.dumps(_bench_doc(2.5, 1.5)))
+        (base / "metrics.json").write_text(json.dumps(
+            {"total_s": 2.5, "figures": {"fig04": 1.5}}))
         path = _seed_ledger(tmp_path / "ledger")
         code = main(["compare", str(base), str(path), "--format", "json"])
         doc = json.loads(capsys.readouterr().out)

@@ -93,6 +93,18 @@ class TestFatTree:
         world = build_world(gm, n_nodes=8, topology=FatTree(arity=4))
         assert len(world.cluster.nodes) == 8
 
+    @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 16])
+    def test_every_accepted_arity_wires_at_full_capacity(self, gm, k):
+        # Tree switches take radix k, not the system switch's 8 ports:
+        # k > 8 used to die in add_port ("all 8 ports in use").
+        topo = FatTree(arity=k)
+        world = build_world(gm, n_nodes=k * (k // 2), topology=topo)
+        assert len(world.cluster.nodes) == k * (k // 2)
+        assert (len(topo.edges), len(topo.cores)) == (k, k // 2)
+        assert all(sw.config.ports == k for sw in topo.edges + topo.cores)
+        last = k * (k // 2) - 1
+        assert _one_way_s(gm, k * (k // 2), FatTree(arity=k), 0, last) > 0
+
     def test_no_central_switch(self, gm):
         world = build_world(gm, n_nodes=4, topology=FatTree(arity=4))
         assert world.cluster.switch is None
