@@ -10,34 +10,28 @@ full-resolution version.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis import render
-from repro.analysis.claims import ALL_CLAIMS
-from repro.analysis.figures import ALL_FIGURES, FigureData
+from repro.analysis import FigureReport, render, run_figure
 
 #: Benchmark grids: coarse but shape-preserving.
 BENCH_PER_DECADE = 1
 
 
-def regenerate(benchmark, fig_id: str, **kwargs) -> FigureData:
-    """Regenerate ``fig_id`` once under the benchmark timer."""
-    generator = ALL_FIGURES[fig_id]
+def regenerate(benchmark, fig_id: str, **kwargs) -> FigureReport:
+    """Regenerate ``fig_id`` (and check its claims) under the timer."""
 
-    def run() -> FigureData:
-        return generator(**kwargs)
+    def run() -> FigureReport:
+        return run_figure(fig_id, **kwargs)
 
-    fig = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    print(render(fig))
-    return fig
+    print(render(report.figure))
+    return report
 
 
-def assert_claims(fig: FigureData) -> None:
-    """Check the paper's claims on the regenerated data; fail loudly."""
-    results = ALL_CLAIMS[fig.fig_id](fig)
-    for claim in results:
+def assert_claims(report: FigureReport) -> None:
+    """Report the paper's claims on the regenerated data; fail loudly."""
+    for claim in report.claims:
         print(f"  [{'PASS' if claim.ok else 'FAIL'}] {claim.claim} "
               f"({claim.detail})")
-    failed = [c for c in results if not c.ok]
+    failed = [c for c in report.claims if not c.ok]
     assert not failed, "; ".join(f"{c.claim}: {c.detail}" for c in failed)

@@ -4,9 +4,9 @@ from .ascii_plot import render
 from .claims import ALL_CLAIMS, ClaimResult
 from .export import export_figures, write_csv, write_json
 from .svg_plot import render_svg, write_svg
-from .figures import ALL_FIGURES, Curve, FigureData
 from .knees import Knee, find_knee_iters, format_knees, knee_table, measure_knee
-from .registry import CurveSpec, FIGURE_SPECS, FigureSpec, build_figure
+from .registry import (ALL_FIGURES, Curve, CurveSpec, FIGURE_SPECS,
+                       FigureData, FigureSpec, build_figure)
 from .report import FigureReport, format_report, run_all, run_figure
 from .tables import (
     HEADERS,

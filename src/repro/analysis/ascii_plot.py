@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
-from .figures import Curve, FigureData
+from .registry import Curve, FigureData
 
 #: Markers assigned to curves in order.
 MARKERS = "ox+*#@%&"

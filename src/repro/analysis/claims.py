@@ -13,7 +13,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .figures import FigureData
+from .registry import FigureData
 
 
 @dataclass

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Union
 
-from .figures import FigureData
+from .registry import FigureData
 
 
 def write_csv(fig: FigureData, path: Union[str, Path]) -> Path:

@@ -1,15 +1,13 @@
 """Declarative figure registry: every figure is a table entry.
 
-The 17 bespoke ``figNN`` generator functions collapsed into data: a
-:class:`FigureSpec` names the axes, titles, and notes, and a tuple of
-:class:`CurveSpec` rows names each plotted line (method, system, sweep
-bounds, y attribute, unit).  :func:`build_figure` interprets a spec
-against runtime knobs (``per_decade``, ``sizes``, ``msg_bytes``,
-``grid``, ``rank_counts``) — the legacy functions in
-:mod:`repro.analysis.figures` and :mod:`repro.analysis.scaling` are thin
-wrappers over their table entries, so paper figures, scaling figures,
-and CI-band variants (``fig04_ci``, ``fig11_ci``) all live in one
-:data:`FIGURE_SPECS` table.
+A :class:`FigureSpec` names a figure's axes, titles, and notes, and a
+tuple of :class:`CurveSpec` rows names each plotted line (method,
+system, sweep bounds, y attribute, unit).  :func:`build_figure` is the
+one driver: it interprets a spec against runtime knobs (``per_decade``,
+``sizes``, ``msg_bytes``, ``grid``, ``rank_counts``).  Paper figures
+(:data:`ALL_FIGURES`), scaling figures, and CI-band variants
+(``fig04_ci``, ``fig11_ci``) all live in the one :data:`FIGURE_SPECS`
+table; :func:`repro.analysis.report.run_figure` runs any of them.
 
 Replication flows through transparently: when the executing
 :class:`~repro.core.executor.SweepExecutor` replicates points
@@ -506,3 +504,7 @@ FIGURE_SPECS["fig11_ci"] = dataclasses.replace(
     FIGURE_SPECS["fig11"], fig_id="fig11_ci", claims_id="fig11",
     reps=5, ci_width=0.02,
 )
+
+#: The paper's results figures (Figs 4–17): the default report grid.
+#: Scaling figures and CI-band variants are opt-in by id.
+ALL_FIGURES: Tuple[str, ...] = tuple(f"fig{n:02d}" for n in range(4, 18))

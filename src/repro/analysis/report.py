@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.executor import SweepExecutor, current_executor, use_executor
 from .ascii_plot import render
 from .claims import ALL_CLAIMS, ClaimResult
-from .figures import ALL_FIGURES, FigureData
-from .registry import FIGURE_SPECS, build_figure
-from .scaling import SCALING_CLAIMS, SCALING_FIGURES
+from .registry import ALL_FIGURES, FIGURE_SPECS, FigureData, build_figure
+from .scaling import SCALING_CLAIMS
 
 
 @dataclass
@@ -34,41 +33,33 @@ def run_figure(fig_id: str, per_decade: int = 2,
                **kwargs) -> FigureReport:
     """Regenerate one figure and check its claims.
 
+    Every figure is its :data:`~repro.analysis.registry.FIGURE_SPECS`
+    entry interpreted by :func:`~repro.analysis.registry.build_figure`;
+    ``kwargs`` are that function's runtime knobs.  The claims come from
+    the checker of the spec's ``claims_id`` (default: ``fig_id``) in
+    :data:`~repro.analysis.claims.ALL_CLAIMS` or
+    :data:`~repro.analysis.scaling.SCALING_CLAIMS`; a figure without a
+    checker is an error, not a figure with no claims.
+
     ``executor`` parallelizes/caches the figure's sweeps (see
     :class:`~repro.core.executor.SweepExecutor`); ``None`` uses the
     ambient executor (:func:`~repro.core.executor.current_executor`).
     The figure is bracketed by ``figure_start`` / ``figure_end``
     lifecycle events on that executor.
     """
-    generator = ALL_FIGURES.get(fig_id) or SCALING_FIGURES.get(fig_id)
-    if generator is None and fig_id not in FIGURE_SPECS:
-        known = sorted(ALL_FIGURES) + sorted(SCALING_FIGURES) + sorted(
-            f for f in FIGURE_SPECS
-            if f not in ALL_FIGURES and f not in SCALING_FIGURES
-        )
-        raise KeyError(f"unknown figure {fig_id!r}; have {known}")
+    spec = FIGURE_SPECS.get(fig_id)
+    if spec is None:
+        raise KeyError(f"unknown figure {fig_id!r}; "
+                       f"have {sorted(FIGURE_SPECS)}")
+    checker = {**ALL_CLAIMS, **SCALING_CLAIMS}[spec.claims_id or fig_id]
     executor = current_executor(executor)
     executor.publish("figure_start", figure=fig_id)
     t0_wall = time.perf_counter()
     with use_executor(executor):
-        if generator is None:
-            # Registry-only entry (e.g. a CI-band variant): interpret
-            # the spec directly.
-            fig = build_figure(FIGURE_SPECS[fig_id], per_decade=per_decade,
-                               **kwargs)
-        elif fig_id in ("fig12", "fig13"):
-            fig = generator(**kwargs)  # linear grids take no per_decade
-        else:
-            fig = generator(per_decade=per_decade, **kwargs)
+        fig = build_figure(spec, per_decade=per_decade, **kwargs)
     wall_s = time.perf_counter() - t0_wall
     executor.publish("figure_end", figure=fig_id, wall_s=wall_s)
-    claims_id = fig_id
-    spec = FIGURE_SPECS.get(fig_id)
-    if spec is not None and spec.claims_id:
-        claims_id = spec.claims_id  # CI variants inherit base claims
-    checker = ALL_CLAIMS.get(claims_id) or SCALING_CLAIMS.get(claims_id)
-    claims = checker(fig) if checker is not None else []
-    return FigureReport(fig, claims, wall_s=wall_s)
+    return FigureReport(fig, checker(fig), wall_s=wall_s)
 
 
 def run_all(per_decade: int = 2,
@@ -79,9 +70,8 @@ def run_all(per_decade: int = 2,
     A shared ``executor`` makes overlapping figures nearly free: points
     already simulated for an earlier figure come back from its memo/cache.
     """
-    ids = list(fig_ids) if fig_ids else sorted(ALL_FIGURES)
     return [run_figure(fid, per_decade=per_decade, executor=executor)
-            for fid in ids]
+            for fid in fig_ids or ALL_FIGURES]
 
 
 def format_report(reports: Sequence[FigureReport], plots: bool = True) -> str:

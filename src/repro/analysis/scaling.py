@@ -1,59 +1,29 @@
-"""Scaling figures: pattern availability vs rank count per transport.
+"""Claim checks for the pattern scaling figures.
 
-These go beyond the paper's two-node figures: they sweep the application
-communication patterns (:mod:`repro.patterns`) over rank counts on both
-fabrics and plot the availability scaling curve per transport.  The
-paper's §4 prediction extends naturally — a library-polled transport's
-Progress Rule penalty compounds with neighbour count, while an offloaded
-transport's availability should survive scale — and the claim checkers
-pin exactly that.
+The scaling figures go beyond the paper's two-node figures: they sweep
+the application communication patterns (:mod:`repro.patterns`) over
+rank counts on both fabrics and plot the availability scaling curve per
+transport.  The paper's §4 prediction extends naturally — a
+library-polled transport's Progress Rule penalty compounds with
+neighbour count, while an offloaded transport's availability should
+survive scale — and the claim checkers here pin exactly that.
 
 The figures themselves are :data:`~repro.analysis.registry.FIGURE_SPECS`
-entries (``scale_halo``, ``scale_allreduce``); this module keeps their
-historical wrapper signatures, the reusable sweep helpers
-(:func:`pattern_tasks` / :func:`pattern_scaling`), and the claim
-checkers.
-
-Not part of the default ``comb report`` grid (the paper has no such
-figure); run them explicitly::
+entries (``scale_halo``, ``scale_allreduce``).  They are not part of the
+default ``comb report`` grid (the paper has no such figure); run them
+explicitly::
 
     comb figures --ids scale_halo scale_allreduce
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 from .claims import ClaimResult
-from .registry import (DEFAULT_RANK_COUNTS, FIGURE_SPECS, KB, FigureData,
-                       build_figure, pattern_scaling, pattern_tasks)
+from .registry import FigureData
 
-__all__ = [
-    "DEFAULT_RANK_COUNTS", "KB", "SCALING_CLAIMS", "SCALING_FIGURES",
-    "pattern_scaling", "pattern_tasks", "scale_halo", "scale_allreduce",
-]
-
-
-def scale_halo(per_decade: int = 1,
-               rank_counts: Sequence[int] = DEFAULT_RANK_COUNTS,
-               msg_bytes: int = 100 * KB,
-               work_interval_iters: int = 1_000_000) -> FigureData:
-    """2D halo-exchange availability vs rank count, both fabrics."""
-    del per_decade  # the rank-count axis is explicit, not log-gridded
-    return build_figure(FIGURE_SPECS["scale_halo"], rank_counts=rank_counts,
-                        msg_bytes=msg_bytes,
-                        work_interval_iters=work_interval_iters)
-
-
-def scale_allreduce(per_decade: int = 1,
-                    rank_counts: Sequence[int] = DEFAULT_RANK_COUNTS,
-                    msg_bytes: int = 100 * KB,
-                    work_interval_iters: int = 1_000_000) -> FigureData:
-    """Binomial-allreduce availability vs rank count, both fabrics."""
-    del per_decade
-    return build_figure(FIGURE_SPECS["scale_allreduce"],
-                        rank_counts=rank_counts, msg_bytes=msg_bytes,
-                        work_interval_iters=work_interval_iters)
+__all__ = ["SCALING_CLAIMS"]
 
 
 def _check_scaling(fig: FigureData) -> List[ClaimResult]:
@@ -97,13 +67,7 @@ def _check_scaling(fig: FigureData) -> List[ClaimResult]:
     return out
 
 
-#: Pattern scaling figures — opt-in (not in ``ALL_FIGURES``'s default
-#: report grid); merged into :func:`repro.analysis.report.run_figure`.
-SCALING_FIGURES: Dict[str, Callable[..., FigureData]] = {
-    "scale_halo": scale_halo,
-    "scale_allreduce": scale_allreduce,
-}
-
+#: Claim checkers of the opt-in scaling figures, keyed by figure id.
 SCALING_CLAIMS: Dict[str, Callable[[FigureData], List[ClaimResult]]] = {
     "scale_halo": _check_scaling,
     "scale_allreduce": _check_scaling,

@@ -82,7 +82,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis import export_figures, format_report, render, run_all, run_figure
+from .analysis import (FIGURE_SPECS, export_figures, format_report, render,
+                       run_all, run_figure)
 from .baselines import run_netperf
 from .config import PRESETS, get_system
 from .core import (
@@ -503,8 +504,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "attached; export Chrome trace JSON + CSV timeline + metrics",
     )
     p.add_argument("target",
-                   help="figure id (fig04..fig17), 'polling', 'pww', or a "
-                   "pattern kind (halo/halo2d/halo3d/sweep/allreduce)")
+                   help="figure id (any FIGURE_SPECS entry: fig04..fig17, "
+                   "fig04_ci/fig11_ci, scale_halo/scale_allreduce), "
+                   "'polling', 'pww', or a pattern kind "
+                   "(halo/halo2d/halo3d/sweep/allreduce)")
     _add_system(p)
     p.add_argument("--size", type=float, default=100,
                    help="message size (KB; point targets)")
@@ -626,7 +629,6 @@ def _run_trace(args: argparse.Namespace) -> int:
     """``comb trace``: one observed run, three export files."""
     from pathlib import Path
 
-    from .analysis.figures import ALL_FIGURES
     from .obs import (
         Observer,
         use_observer,
@@ -677,22 +679,20 @@ def _run_trace(args: argparse.Namespace) -> int:
             with use_observer(observer):
                 executor.run([PointTask("pattern", system, cfg)])
         label = f"comb {target} {system.name} x{cfg.ranks}"
-    elif target in ALL_FIGURES:
+    elif target in FIGURE_SPECS:
         # Forced serial + uncached: cached points never simulate (no
         # events) and pooled points simulate in other processes (events
         # stranded there) — tracing wants the complete timeline.
-        from .analysis import run_figure as _run_figure
-
         with SweepExecutor(jobs=1, cache=None,
                            metrics=observer.metrics) as executor:
             with use_observer(observer):
-                _run_figure(target, per_decade=args.per_decade,
-                            executor=executor)
+                run_figure(target, per_decade=args.per_decade,
+                           executor=executor)
             executor_stats = executor.stats
         label = f"comb {target}"
     else:
         print(f"error: unknown trace target {target!r}; expected a figure "
-              f"id ({'/'.join(sorted(ALL_FIGURES))}), 'polling', 'pww', or "
+              f"id ({'/'.join(sorted(FIGURE_SPECS))}), 'polling', 'pww', or "
               f"a pattern ({'/'.join(sorted(_PATTERN_ALIASES))})",
               file=sys.stderr)
         return 2
@@ -770,11 +770,16 @@ def _run_compare_runs(args: argparse.Namespace) -> int:
     # The user picked the samples, so singleton baselines are judged
     # (zero-width CI) instead of skipped; --min-records sets a stricter
     # gate.
-    report = compare_paths(
-        runs[0], runs[1],
-        min_rel=args.min_rel if args.min_rel is not None else DEFAULT_MIN_REL,
-        min_records=args.min_records,
-    )
+    try:
+        report = compare_paths(
+            runs[0], runs[1],
+            min_rel=(args.min_rel if args.min_rel is not None
+                     else DEFAULT_MIN_REL),
+            min_records=args.min_records,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

@@ -10,7 +10,9 @@ Inputs are the documents the suite already writes: run ledgers
 (``results/ledger/ledger.jsonl``, one sample per ``run`` record) and
 ``metrics.json`` sidecars (``comb … --metrics``).  A *run* argument may
 be a single file or a directory of them (every ``*.jsonl`` /
-``*metrics*.json`` inside contributes samples).
+``*metrics*.json`` inside contributes samples).  Ledger ``run``
+records carry the ``compiled`` flag of the core that produced them; a
+comparison whose records mix pure-core and C-kernel runs is refused.
 
 The bootstrap RNG is seeded, so comparisons are reproducible; two
 identical samples always yield a zero-width interval at zero and hence
@@ -78,11 +80,11 @@ def scalar_profile(doc: Dict[str, object]) -> Dict[str, float]:
     return out
 
 
-def load_samples(run: Path) -> Dict[str, List[float]]:
-    """Per-metric samples from a run file or a directory of run files.
+def _run_docs(run: Path) -> List[Dict[str, object]]:
+    """Run documents from a run file or a directory of run files.
 
     ``.jsonl`` files are read as run ledgers (:mod:`repro.obs.ledger`):
-    every ``run`` record inside becomes one sample, so a long-lived
+    every ``run`` record inside becomes one document, so a long-lived
     ledger serves directly as a many-sample history source.
     """
     if run.is_dir():
@@ -91,7 +93,6 @@ def load_samples(run: Path) -> Dict[str, List[float]]:
         )
     else:
         paths = [run]
-    samples: Dict[str, List[float]] = {}
     docs: List[Dict[str, object]] = []
     for path in paths:
         if path.suffix == ".jsonl":
@@ -105,10 +106,21 @@ def load_samples(run: Path) -> Dict[str, List[float]]:
             continue  # unreadable / non-JSON: not a sample
         if isinstance(doc, dict):
             docs.append(doc)
+    return docs
+
+
+def _samples(docs: Sequence[Dict[str, object]]) -> Dict[str, List[float]]:
+    """Per-metric samples: one per document (see :func:`scalar_profile`)."""
+    samples: Dict[str, List[float]] = {}
     for doc in docs:
         for name, value in scalar_profile(doc).items():
             samples.setdefault(name, []).append(value)
     return samples
+
+
+def load_samples(run: Path) -> Dict[str, List[float]]:
+    """Per-metric samples from a run file or a directory of run files."""
+    return _samples(_run_docs(run))
 
 
 @dataclass(frozen=True)
@@ -289,11 +301,25 @@ def compare_paths(
     min_rel: float = DEFAULT_MIN_REL,
     min_records: int = DEFAULT_MIN_RECORDS,
 ) -> CompareReport:
-    """Sentinel entry point over files/directories (see module doc)."""
+    """Sentinel entry point over files/directories (see module doc).
+
+    Raises :class:`ValueError` when the loaded ledger ``run`` records
+    carry more than one ``compiled`` value: C-kernel and pure-core runs
+    are different populations, and one median over both means nothing.
+    ``metrics.json`` sidecars carry no flag and never trip this.
+    """
+    docs_a, docs_b = _run_docs(run_a), _run_docs(run_b)
+    compiled = {repr(d["compiled"]) for d in docs_a + docs_b
+                if "compiled" in d}
+    if len(compiled) > 1:
+        raise ValueError(
+            "the run records mix 'compiled' values "
+            f"({', '.join(sorted(compiled))}); pure-core and C-kernel "
+            "runs are not one population — compare ledgers of one core"
+        )
     return compare_samples(
-        load_samples(run_a),
-        load_samples(run_b),
+        _samples(docs_a),
+        _samples(docs_b),
         min_rel=min_rel,
         min_records=min_records,
     )
-

@@ -1,5 +1,6 @@
 """Tests: figure generation, claims, ASCII plots, export, report."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.analysis import (
     ALL_CLAIMS,
     ALL_FIGURES,
+    FIGURE_SPECS,
     Curve,
     FigureData,
     export_figures,
@@ -20,6 +22,7 @@ from repro.analysis.claims import (
     check_fig11,
     check_fig13,
 )
+from repro.analysis.scaling import SCALING_CLAIMS
 
 
 def synthetic_fig(fig_id="fig08", curves=None):
@@ -53,6 +56,11 @@ class TestFigureData:
         expected = {f"fig{i:02d}" for i in range(4, 18)}
         assert set(ALL_FIGURES) == expected
         assert set(ALL_CLAIMS) == expected
+
+    @pytest.mark.parametrize("fig_id", sorted(FIGURE_SPECS))
+    def test_every_spec_has_a_checker(self, fig_id):
+        claims_id = FIGURE_SPECS[fig_id].claims_id or fig_id
+        assert claims_id in ALL_CLAIMS or claims_id in SCALING_CLAIMS
 
 
 class TestClaimCheckers:
@@ -139,6 +147,13 @@ class TestRunFigure:
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError):
             run_figure("fig99")
+
+    def test_figure_without_checker_rejected(self, monkeypatch):
+        # A figure that checks nothing must not read as "all claims hold".
+        spec = dataclasses.replace(FIGURE_SPECS["fig13"], fig_id="figXX")
+        monkeypatch.setitem(FIGURE_SPECS, "figXX", spec)
+        with pytest.raises(KeyError, match="figXX"):
+            run_figure("figXX", grid=(100_000,))
 
     def test_quick_regeneration_with_claims(self):
         # The fastest figure pair: PWW overhead on a tiny linear grid.

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.figures import Curve, FigureData
+from repro.analysis import Curve, FigureData
 from repro.analysis.svg_plot import (
     _fmt,
     _log_ticks,

@@ -132,7 +132,10 @@ class TestTraceCommand:
         rc = main(["trace", "fig99", "--out", str(tmp_path)])
         err_or_out = capsys.readouterr()
         assert rc == 2
-        assert "unknown trace target" in err_or_out.out + err_or_out.err
+        text = err_or_out.out + err_or_out.err
+        assert "unknown trace target" in text
+        # Figure targets resolve through the whole registry.
+        assert "scale_halo" in text and "fig11_ci" in text
 
 
 class TestParsing:

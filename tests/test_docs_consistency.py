@@ -100,7 +100,7 @@ class TestExperiments:
 
 class TestBenchCoverage:
     def test_one_bench_per_results_figure(self):
-        from repro.analysis.figures import ALL_FIGURES
+        from repro.analysis import ALL_FIGURES
 
         # bench_figures.py parametrizes one target per ALL_FIGURES entry.
         driver = (ROOT / "benchmarks" / "bench_figures.py").read_text()
@@ -113,3 +113,17 @@ class TestBenchCoverage:
         ablations = {p.name
                      for p in (ROOT / "benchmarks").glob("bench_ablation*.py")}
         assert len(ablations) >= 5
+
+
+class TestApiReference:
+    def test_api_md_is_current(self):
+        """docs/api.md is what tools/gen_api_docs.py generates today."""
+        import importlib.util
+
+        path = ROOT / "tools" / "gen_api_docs.py"
+        spec = importlib.util.spec_from_file_location("gen_api_docs", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.api_text() == _read("docs/api.md"), (
+            "docs/api.md is stale; regenerate it with "
+            "`PYTHONPATH=src python tools/gen_api_docs.py`")

@@ -219,3 +219,32 @@ def test_cli_compare_too_many_runs(tmp_path):
         paths.append(str(_write_ledger(tmp_path / f"{name}.jsonl",
                                        _run_doc(1.0, 1.0))))
     assert main(["compare", *paths]) == 2
+
+
+def _compiled_doc(compiled, total_s=1.0):
+    return dict(_run_doc(total_s, total_s), compiled=compiled)
+
+
+def test_cli_compare_mixed_compiled_refused(tmp_path, capsys):
+    """A pure-core ledger against a C-kernel ledger is not one population."""
+    from repro.cli import main
+
+    a = _write_ledger(tmp_path / "a.jsonl", _compiled_doc(False))
+    b = _write_ledger(tmp_path / "b.jsonl", _compiled_doc(True))
+    assert main(["compare", str(a), str(b)]) == 2
+    assert "compiled" in capsys.readouterr().err
+    # Mixed within one side is refused too.
+    both = _write_ledger(tmp_path / "both.jsonl", _compiled_doc(False),
+                         _compiled_doc(True))
+    with pytest.raises(ValueError, match="compiled"):
+        compare_paths(a, both)
+
+
+def test_compare_one_core_and_flagless_sidecars_judged(tmp_path):
+    a = _write_ledger(tmp_path / "a.jsonl", _compiled_doc(True),
+                      _compiled_doc(True))
+    b = _write(tmp_path / "b.metrics.json", _run_doc(1.0, 1.0))
+    report = compare_paths(a, b)
+    assert report.exit_code == 0
+    assert [c.name for c in report.comparisons] == ["figures.fig04",
+                                                    "total_s"]

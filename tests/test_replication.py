@@ -184,8 +184,7 @@ def test_stochastic_replication_reproducible():
 
 # ---------------------------------------------------------------- registry
 def test_ci_variants_registered():
-    from repro.analysis import FIGURE_SPECS
-    from repro.analysis.figures import ALL_FIGURES
+    from repro.analysis import ALL_FIGURES, FIGURE_SPECS
 
     for fig_id, base in (("fig04_ci", "fig04"), ("fig11_ci", "fig11")):
         spec = FIGURE_SPECS[fig_id]
