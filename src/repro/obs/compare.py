@@ -118,11 +118,6 @@ def _samples(docs: Sequence[Dict[str, object]]) -> Dict[str, List[float]]:
     return samples
 
 
-def load_samples(run: Path) -> Dict[str, List[float]]:
-    """Per-metric samples from a run file or a directory of run files."""
-    return _samples(_run_docs(run))
-
-
 @dataclass(frozen=True)
 class MetricComparison:
     """One metric's verdict: B (candidate) against A (baseline)."""

@@ -153,7 +153,7 @@ class TestRunFigure:
         spec = dataclasses.replace(FIGURE_SPECS["fig13"], fig_id="figXX")
         monkeypatch.setitem(FIGURE_SPECS, "figXX", spec)
         with pytest.raises(KeyError, match="figXX"):
-            run_figure("figXX", grid=(100_000,))
+            run_figure("figXX")
 
     def test_quick_regeneration_with_claims(self):
         # The fastest figure pair: PWW overhead on a tiny linear grid.

@@ -6,8 +6,9 @@ import pytest
 
 from repro.obs import compare_paths, compare_samples
 from repro.obs.compare import (
+    _run_docs,
+    _samples,
     bootstrap_median_diff,
-    load_samples,
     scalar_profile,
 )
 
@@ -66,19 +67,19 @@ def test_scalar_profile_garbage_tolerant():
     assert scalar_profile({"total_s": "fast", "figures": 3}) == {}
 
 
-# -------------------------------------------------------------- load_samples
+# ------------------------------------------------------------------ loading
 def test_load_samples_directory(tmp_path):
     _write_ledger(tmp_path / "a.jsonl", _run_doc(10.0, 1.0))
     _write(tmp_path / "b.metrics.json", _run_doc(11.0, 1.1))
     (tmp_path / "c.metrics.json").write_text("{corrupt")
     (tmp_path / "notes.txt").write_text("ignored")
-    samples = load_samples(tmp_path)
+    samples = _samples(_run_docs(tmp_path))
     assert sorted(samples["total_s"]) == [10.0, 11.0]
 
 
 def test_load_samples_single_file(tmp_path):
     path = _write(tmp_path / "metrics.json", _run_doc(5.0, 0.5))
-    assert load_samples(path)["total_s"] == [5.0]
+    assert _samples(_run_docs(path))["total_s"] == [5.0]
 
 
 # ----------------------------------------------------------------- bootstrap

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
 from pathlib import Path
+
+# The reference documents the pure-Python core.  With the compiled core
+# on, ``Event``/``Engine`` are C types owned by ``builtins`` and would
+# drop out of the text.
+os.environ.pop("COMB_COMPILED", None)
 
 MODULES = [
     "repro",
