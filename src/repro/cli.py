@@ -418,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("blocking", "busywait"))
 
     p = sub.add_parser("figures", help="regenerate paper figures")
-    p.add_argument("--ids", nargs="*", default=None,
+    p.add_argument("--ids", nargs="*", default=None, metavar="ID",
+                   choices=sorted(FIGURE_SPECS),
                    help="figure ids (default: all of fig04..fig17)")
     p.add_argument("--per-decade", type=int, default=2)
     p.add_argument("--out", default=None,

@@ -26,14 +26,24 @@ Two steps per window:
    unoverlappable wire time (handshake completed inside the window)
    attributed to the wire.
 
+Each point's span forest is indexed once (its spans sorted by start);
+a window then costs one clip pass and one endpoint sweep over the spans
+that start before it, counted from the first one still open at its
+start.  That is linear per window while spans are short next to the
+point; one early, long span (a long stall or transfer) keeps every
+later span in each later window's pass, back to windows x spans.
+
 Attribution is a pure function of the event stream — it never touches
 the simulator, so traced runs stay bit-identical.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .spans import (
     SPAN_COMPLETION,
@@ -90,6 +100,126 @@ _PRIORITY = (
 _RANK = {cause: i for i, cause in enumerate(_PRIORITY)}
 
 
+class _Sorted:
+    """Tuples whose first two slots are an interval ``(t0_s, t1_s)``,
+    sorted by ``t0_s`` once so a window finds its candidates by bisection.
+
+    ``reach_s[i]`` is the latest end among the first ``i + 1`` tuples, so
+    every tuple before the first reach past ``w0_s`` ends by ``w0_s``.
+    """
+
+    __slots__ = ("items", "starts_s", "reach_s")
+
+    def __init__(self, items: Iterable[Tuple[Any, ...]]) -> None:
+        self.items = sorted(items, key=itemgetter(0))
+        self.starts_s: List[float] = [item[0] for item in self.items]
+        ends_s: List[float] = [item[1] for item in self.items]
+        self.reach_s: List[float] = list(accumulate(ends_s, max))
+
+    def overlapping(self, w0_s: float, w1_s: float) -> List[Tuple[Any, ...]]:
+        """A superset of the tuples with ``t0_s < w1_s`` and
+        ``t1_s > w0_s``: those that start before ``w1_s``, from the
+        first whose running-max end passes ``w0_s``.  One early, long
+        tuple keeps every later one in the result."""
+        return self.items[
+            bisect_right(self.reach_s, w0_s):bisect_left(self.starts_s, w1_s)
+        ]
+
+
+class _ForestIndex:
+    """A span forest reduced once to what attribution reads per window.
+
+    ``spans`` holds one ``(t0_s, t1_s, rank)`` tuple per cause-bearing
+    child span (``rank`` indexes :data:`_PRIORITY`); ``stalls`` one
+    ``(data_t0_s, data_t1_s, stall_start_s, stall_total_s)`` tuple per
+    message that stalled before a data transfer.
+    """
+
+    __slots__ = ("spans", "stalls")
+
+    def __init__(self, forest: SpanForest) -> None:
+        spans: List[Tuple[float, float, int]] = []
+        stalls: List[Tuple[float, float, float, float]] = []
+        for msg in forest:
+            for span in msg.children:
+                cause = _SPAN_CAUSE.get(span.name)
+                if cause is None and span.name == SPAN_COMPLETION:
+                    cause = CAUSE_HOST_COPY if msg.eager else CAUSE_COMPLETION
+                if cause is not None:
+                    spans.append((span.t0_s, span.t1_s, _RANK[cause]))
+            stall_start_s = msg.stall_start_s
+            data = msg.child(SPAN_DATA_WIRE)
+            if stall_start_s is not None and data is not None:
+                stalls.append((data.t0_s, data.t1_s, stall_start_s,
+                               msg.stall_total_s))
+        self.spans = _Sorted(spans)
+        self.stalls = _Sorted(stalls)
+
+    def attribute(self, w0_s: float, w1_s: float) -> Dict[str, float]:
+        """:func:`attribute_window` over the indexed forest."""
+        window_s = w1_s - w0_s
+        causes = {cause: 0.0 for cause in ALL_CAUSES}
+        if window_s <= 0.0:
+            return causes
+
+        # Clip pass: each overlapping span becomes a start and an end edge.
+        edges: List[Tuple[float, int, int]] = []
+        for t0_s, t1_s, rank in self.spans.overlapping(w0_s, w1_s):
+            t0_s = max(t0_s, w0_s)
+            t1_s = min(t1_s, w1_s)
+            if t1_s > t0_s:
+                edges.append((t0_s, rank, 1))
+                edges.append((t1_s, rank, -1))
+        # Counterfactual budget: the transfer could have started earlier
+        # by the delay the library injected into the handshake (its stall
+        # spans), capped at how long before the window the handshake
+        # became answerable.  An offloaded transport's stalls are ≈ 0,
+        # so its in-window wire time stays attributed to the wire.
+        budget_s = 0.0
+        for _d0_s, d1_s, stall_start_s, stall_total_s in (
+            self.stalls.overlapping(w0_s, w1_s)
+        ):
+            if stall_start_s < w0_s and d1_s > w0_s:
+                budget_s = max(
+                    budget_s, min(w0_s - stall_start_s, stall_total_s)
+                )
+
+        # Structural sweep: the window is cut at every edge; a segment
+        # goes to the highest-priority cause with a span covering it.
+        # Segments add up left to right: the order the cause seconds
+        # have always been summed in, so they stay bit-identical.
+        edges.sort(key=itemgetter(0))
+        seconds = [0.0] * len(_PRIORITY)
+        active = [0] * len(_PRIORITY)
+        assigned_s = 0.0
+        seg0_s = w0_s
+        k, n_edges = 0, len(edges)
+        while k < n_edges:
+            while k < n_edges and edges[k][0] <= seg0_s:
+                active[edges[k][1]] += edges[k][2]
+                k += 1
+            if k == n_edges:
+                break  # every span has ended: nothing left to assign
+            seg1_s = edges[k][0]
+            for rank, count in enumerate(active):
+                if count:
+                    seg_s = seg1_s - seg0_s
+                    seconds[rank] += seg_s
+                    assigned_s += seg_s
+                    break
+            seg0_s = seg1_s
+        for cause, seconds_s in zip(_PRIORITY, seconds):
+            causes[cause] = seconds_s
+        causes[CAUSE_OTHER] = max(0.0, window_s - assigned_s)
+
+        # Counterfactual reattribution (step 2 of the module docstring).
+        moved_s = min(budget_s, causes[CAUSE_WIRE])
+        if moved_s > 0.0:
+            causes[CAUSE_WIRE] -= moved_s
+            causes[CAUSE_RENDEZVOUS] += moved_s
+        return causes
+
+
 def attribute_window(
     forest: SpanForest, w0_s: float, w1_s: float
 ) -> Dict[str, float]:
@@ -99,68 +229,7 @@ def attribute_window(
     residual is assigned to ``library_other``), which is what makes the
     per-point fractions sum to 1 ± ulp.
     """
-    window_s = w1_s - w0_s
-    causes = {cause: 0.0 for cause in ALL_CAUSES}
-    if window_s <= 0.0:
-        return causes
-
-    intervals: List[Tuple[float, float, str]] = []
-    budget_s = 0.0
-    for msg in forest:
-        for span in msg.children:
-            cause = _SPAN_CAUSE.get(span.name)
-            if cause is None and span.name == SPAN_COMPLETION:
-                cause = CAUSE_HOST_COPY if msg.eager else CAUSE_COMPLETION
-            if cause is None:
-                continue
-            t0_s = max(span.t0_s, w0_s)
-            t1_s = min(span.t1_s, w1_s)
-            if t1_s > t0_s:
-                intervals.append((t0_s, t1_s, cause))
-        # Counterfactual budget: the transfer could have started earlier
-        # by the delay the library injected into the handshake (its stall
-        # spans), capped at how long before the window the handshake
-        # became answerable.  An offloaded transport's stalls are ≈ 0,
-        # so its in-window wire time stays attributed to the wire.
-        stall_start_s = msg.stall_start_s
-        data = msg.child(SPAN_DATA_WIRE)
-        if (
-            stall_start_s is not None
-            and stall_start_s < w0_s
-            and data is not None
-            and data.t1_s > w0_s
-            and data.t0_s < w1_s
-        ):
-            budget_s = max(
-                budget_s, min(w0_s - stall_start_s, msg.stall_total_s)
-            )
-
-    # Structural sweep: partition the window at every interval boundary.
-    cuts = sorted(
-        {w0_s, w1_s}
-        | {t0_s for t0_s, _t1_s, _c in intervals}
-        | {t1_s for _t0_s, t1_s, _c in intervals}
-    )
-    assigned_s = 0.0
-    for seg0_s, seg1_s in zip(cuts, cuts[1:]):
-        active = [
-            c for t0_s, t1_s, c in intervals
-            if t0_s <= seg0_s and t1_s >= seg1_s
-        ]
-        if not active:
-            continue
-        winner = min(active, key=lambda c: _RANK[c])
-        seg_s = seg1_s - seg0_s
-        causes[winner] += seg_s
-        assigned_s += seg_s
-    causes[CAUSE_OTHER] = max(0.0, window_s - assigned_s)
-
-    # Counterfactual reattribution (step 2 of the module docstring).
-    moved_s = min(budget_s, causes[CAUSE_WIRE])
-    if moved_s > 0.0:
-        causes[CAUSE_WIRE] -= moved_s
-        causes[CAUSE_RENDEZVOUS] += moved_s
-    return causes
+    return _ForestIndex(forest).attribute(w0_s, w1_s)
 
 
 @dataclass
@@ -265,7 +334,7 @@ def _attribute_pww_point(
     decomposition — ``method`` keeps the table row honest about which
     driver produced them.
     """
-    forest = stitch(events)
+    index = _ForestIndex(stitch(events))
     point = PointAttribution(
         method=method,
         system=meta.system,
@@ -281,7 +350,7 @@ def _attribute_pww_point(
             continue  # match the measured (post-warmup) wait time
         w1_s = ev.time_s
         w0_s = w1_s - wait_s
-        for cause, seconds_s in attribute_window(forest, w0_s, w1_s).items():
+        for cause, seconds_s in index.attribute(w0_s, w1_s).items():
             point.causes[cause] += seconds_s
         point.total_s += wait_s
         point.windows += 1
@@ -299,7 +368,7 @@ def _attribute_polling_point(
     ``library_other`` residual (per-call posting/matching costs the
     event stream cannot see individually).
     """
-    forest = stitch(events)
+    index = _ForestIndex(stitch(events))
     point = PointAttribution(
         method="polling",
         system=meta.system,
@@ -313,8 +382,8 @@ def _attribute_polling_point(
         t_start_s, elapsed_s, work_total_s, polls, empty_poll_s = ev.detail
         loss_s = max(0.0, elapsed_s - work_total_s)
         poll_tax_s = min(loss_s, polls * empty_poll_s)
-        copy_s = attribute_window(
-            forest, t_start_s, t_start_s + elapsed_s
+        copy_s = index.attribute(
+            t_start_s, t_start_s + elapsed_s
         )[CAUSE_HOST_COPY]
         copy_s = min(copy_s, loss_s - poll_tax_s)
         point.causes[CAUSE_POLL] += poll_tax_s

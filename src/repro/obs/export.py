@@ -22,8 +22,13 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_left, bisect_right
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, Union,
+)
 
 from .metrics import MetricsRegistry
 from .observer import _DEPTH_DELTA
@@ -54,10 +59,53 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
+# Rows are written as text, never built as dicts first.  ``_encode`` is
+# ``json.dumps(_jsonable(value))`` with the common case written
+# directly: encoders are chosen by exact type, so a subclass (an
+# ``IntEnum``, a named tuple) and every other value take the reference
+# path itself.  ``tests/test_obs_export_encoding.py`` holds the two
+# equal on generated details.
+
+_FLOAT_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    """``json.dumps``'s spelling of a float."""
+    text = float.__repr__(value)
+    return _FLOAT_SPECIALS.get(text, text)
+
+
+def _encode_seq(value: Sequence[Any]) -> str:
+    try:
+        return "[" + ", ".join([_ENCODERS[type(v)](v) for v in value]) + "]"
+    except KeyError:  # an item outside the table: the reference path
+        return json.dumps(_jsonable(value))
+
+
+#: Exact type -> encoder for the JSON leaves and plain sequences.
+_ENCODERS: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda _value: "null",
+    tuple: _encode_seq,
+    list: _encode_seq,
+}
+
+
+def _encode(value: Any) -> str:
+    """``json.dumps(_jsonable(value))``, written directly."""
+    encoder = _ENCODERS.get(type(value))
+    if encoder is None:
+        return json.dumps(_jsonable(value))
+    return encoder(value)
+
+
 def _executor_rows(
     sim_events: Sequence[ObsEvent],
     exec_events: Sequence[ObsEvent],
-) -> List[Dict[str, Any]]:
+) -> Iterator[Dict[str, Any]]:
     """``"X"`` slices / instant marks for the executor process row.
 
     Executor markers carry no sim timestamp of their own (points start
@@ -66,45 +114,163 @@ def _executor_rows(
     ``point_end`` in global seq order.  A pair enclosing no sim events
     (fully evicted rings) degrades to a zero-length slice at t=0.
     """
-    rows: List[Dict[str, Any]] = []
-    merged = sorted(
-        list(sim_events) + list(exec_events), key=lambda ev: ev.seq
-    )
+    ordered = sorted(sim_events, key=itemgetter(0))
+    seqs = [ev.seq for ev in ordered]
+    times_s = [ev.time_s for ev in ordered]
     current: Optional[ObsEvent] = None
-    lo_s: Optional[float] = None
-    hi_s: Optional[float] = None
-    for ev in merged:
-        if ev.source == "executor" and ev.kind in _EXECUTOR_KINDS:
-            if ev.kind == "point_start":
-                current, lo_s, hi_s = ev, None, None
-            elif ev.kind == "point_end" and current is not None:
-                kind, system, msg_bytes, interval_iters, _warmup_windows = (
-                    current.detail
-                )
-                start_s = lo_s if lo_s is not None else 0.0
-                dur_s = (hi_s - lo_s) if lo_s is not None \
-                    and hi_s is not None else 0.0
-                rows.append({
-                    "ph": "X", "name": f"point.{kind}", "cat": "executor",
-                    "pid": EXECUTOR_PID, "tid": 1,
-                    "ts": start_s * _SEC_TO_US, "dur": dur_s * _SEC_TO_US,
-                    "args": {
-                        "system": system,
-                        "msg_bytes": msg_bytes,
-                        "interval_iters": interval_iters,
-                    },
-                })
-                current = None
-            elif ev.kind == "point_cached":
-                rows.append({
-                    "ph": "i", "name": "point.cached", "cat": "executor",
-                    "s": "t", "pid": EXECUTOR_PID, "tid": 1, "ts": 0,
-                    "args": {"kind": _jsonable(ev.detail)},
-                })
-        elif current is not None:
-            lo_s = ev.time_s if lo_s is None else min(lo_s, ev.time_s)
-            hi_s = ev.time_s if hi_s is None else max(hi_s, ev.time_s)
-    return rows
+    for ev in sorted(exec_events, key=itemgetter(0)):
+        if ev.kind == "point_start":
+            current = ev
+        elif ev.kind == "point_end" and current is not None:
+            kind, system, msg_bytes, interval_iters, _warmup_windows = (
+                current.detail
+            )
+            enclosed_s = times_s[
+                bisect_right(seqs, current.seq):bisect_left(seqs, ev.seq)
+            ]
+            start_s = min(enclosed_s) if enclosed_s else 0.0
+            dur_s = max(enclosed_s) - start_s if enclosed_s else 0.0
+            yield {
+                "ph": "X", "name": f"point.{kind}", "cat": "executor",
+                "pid": EXECUTOR_PID, "tid": 1,
+                "ts": start_s * _SEC_TO_US, "dur": dur_s * _SEC_TO_US,
+                "args": {
+                    "system": system,
+                    "msg_bytes": msg_bytes,
+                    "interval_iters": interval_iters,
+                },
+            }
+            current = None
+        elif ev.kind == "point_cached":
+            yield {
+                "ph": "i", "name": "point.cached", "cat": "executor",
+                "s": "t", "pid": EXECUTOR_PID, "tid": 1, "ts": 0,
+                "args": {"kind": _jsonable(ev.detail)},
+            }
+
+
+def _chrome_rows(
+    events: Sequence[ObsEvent],
+    label: str,
+    dropped: Optional[Dict[str, int]],
+) -> Iterator[str]:
+    """The JSON text of each ``traceEvents`` row, in document order.
+
+    A sim event's row is a prefix cached per ``(kind, source)`` plus its
+    encoded fields, exactly as ``json.dumps`` writes the row's dict.
+    """
+    exec_events = [
+        ev for ev in events
+        if ev.source == "executor" and ev.kind in _EXECUTOR_KINDS
+    ]
+    events = [
+        ev for ev in events
+        if not (ev.source == "executor" and ev.kind in _EXECUTOR_KINDS)
+    ]
+    sources = sorted({ev.source for ev in events})
+    tid_of = {source: tid for tid, source in enumerate(sources, start=1)}
+    yield json.dumps({
+        "ph": "M", "name": "process_name", "pid": 0, "tid": 0,
+        "args": {"name": f"{label} (simulated time)"},
+    })
+    for source, tid in tid_of.items():
+        yield json.dumps({
+            "ph": "M", "name": "thread_name", "pid": 0, "tid": tid,
+            "args": {"name": source},
+        })
+
+    encode = _encode
+    prefixes: Dict[Tuple[str, str], str] = {}
+    depth_by_source: Dict[str, int] = {}
+    for ev in events:
+        kind = ev.kind
+        source = ev.source
+        prefix = prefixes.get((kind, source))
+        if prefix is None:
+            tail = f', "pid": 0, "tid": {tid_of[source]}, "ts": '
+            if kind == "pww_phase":  # the phase name goes first
+                prefix = tail
+            elif kind in _DEPTH_DELTA:
+                prefix = ('{"ph": "C", "name": '
+                          + encode_basestring_ascii(f"{source}.depth")
+                          + ', "cat": "queue"' + tail)
+            elif kind == "gm_tokens":  # the node's name goes first
+                prefix = ', "cat": "gm"' + tail
+            else:
+                prefix = ('{"ph": "i", "name": '
+                          + encode_basestring_ascii(kind)
+                          + ', "cat": "sim", "s": "t"' + tail)
+            prefixes[kind, source] = prefix
+        if kind == "pww_phase":
+            batch, t0_s, post_s, work_s, wait_s = ev.detail
+            args = ', "args": {"batch": ' + encode(batch) + "}}"
+            start_s = t0_s
+            for head, dur_s in (
+                ('{"ph": "X", "name": "pww.post", "cat": "pww"', post_s),
+                ('{"ph": "X", "name": "pww.work", "cat": "pww"', work_s),
+                ('{"ph": "X", "name": "pww.wait", "cat": "pww"', wait_s),
+            ):
+                yield (head + prefix + encode(start_s * _SEC_TO_US)
+                       + ', "dur": ' + encode(dur_s * _SEC_TO_US) + args)
+                start_s += dur_s
+        elif kind in _DEPTH_DELTA:
+            depth = depth_by_source.get(source, 0) + _DEPTH_DELTA[kind]
+            depth_by_source[source] = depth
+            yield (prefix + encode(ev.time_s * _SEC_TO_US)
+                   + ', "args": {"depth": ' + encode(depth) + "}}")
+        elif kind == "gm_tokens":
+            node, tokens, _max_tokens = ev.detail
+            yield ('{"ph": "C", "name": '
+                   + encode_basestring_ascii(f"gm.tokens.node{node}")
+                   + prefix + encode(ev.time_s * _SEC_TO_US)
+                   + ', "args": {"tokens": ' + encode(tokens) + "}}")
+        else:
+            yield (prefix + encode(ev.time_s * _SEC_TO_US)
+                   + ', "args": {"detail": ' + encode(ev.detail) + "}}")
+    if exec_events:
+        yield json.dumps({
+            "ph": "M", "name": "process_name", "pid": EXECUTOR_PID,
+            "tid": 0, "args": {"name": f"{label} (executor)"},
+        })
+        yield json.dumps({
+            "ph": "M", "name": "thread_name", "pid": EXECUTOR_PID,
+            "tid": 1, "args": {"name": "sweep points"},
+        })
+        for row in _executor_rows(events, exec_events):
+            yield json.dumps(row)
+    if dropped:
+        drop_tid = len(sources) + 1
+        yield json.dumps({
+            "ph": "M", "name": "thread_name", "pid": 0, "tid": drop_tid,
+            "args": {"name": "obs.tracer"},
+        })
+        for kind, count in sorted(dropped.items()):
+            yield json.dumps({
+                "ph": "i", "name": f"dropped.{kind}", "cat": "obs",
+                "s": "g", "pid": 0, "tid": drop_tid, "ts": 0,
+                "args": {"dropped": count},
+            })
+
+
+def _chrome_text(
+    events: Sequence[ObsEvent],
+    label: str,
+    dropped: Optional[Dict[str, int]],
+) -> Iterator[str]:
+    """The Chrome trace document as text pieces (``json.dumps`` layout)."""
+    other_data: Dict[str, Any] = {
+        "schema_version": TRACE_SCHEMA_VERSION,
+        "generator": "comb-obs",
+        "time_base": "simulated seconds, exported as microseconds",
+    }
+    if dropped is not None:
+        other_data["dropped_events"] = dict(sorted(dropped.items()))
+    sep = '{"traceEvents": ['
+    for row in _chrome_rows(events, label, dropped):
+        yield sep + row
+        sep = ", "
+    yield ('], "displayTimeUnit": "ms", "otherData": '
+           + json.dumps(other_data) + "}")
 
 
 def chrome_trace(
@@ -125,101 +291,11 @@ def chrome_trace(
     pair becomes one ``"X"`` slice spanning the sim-time extent of the
     events it encloses, and ``point_cached`` becomes an instant mark —
     so sweep structure and per-point sim activity line up in Perfetto.
-    """
-    exec_events = [
-        ev for ev in events
-        if ev.source == "executor" and ev.kind in _EXECUTOR_KINDS
-    ]
-    events = [
-        ev for ev in events
-        if not (ev.source == "executor" and ev.kind in _EXECUTOR_KINDS)
-    ]
-    sources = sorted({ev.source for ev in events})
-    tid_of = {source: tid for tid, source in enumerate(sources, start=1)}
-    out: List[Dict[str, Any]] = [
-        {
-            "ph": "M", "name": "process_name", "pid": 0, "tid": 0,
-            "args": {"name": f"{label} (simulated time)"},
-        }
-    ]
-    for source, tid in tid_of.items():
-        out.append({
-            "ph": "M", "name": "thread_name", "pid": 0, "tid": tid,
-            "args": {"name": source},
-        })
 
-    depth_by_source: Dict[str, int] = {}
-    for ev in events:
-        tid = tid_of[ev.source]
-        ts_us = ev.time_s * _SEC_TO_US
-        if ev.kind == "pww_phase":
-            batch, t0_s, post_s, work_s, wait_s = ev.detail
-            start_s = t0_s
-            for phase, dur_s in (
-                ("post", post_s), ("work", work_s), ("wait", wait_s)
-            ):
-                out.append({
-                    "ph": "X", "name": f"pww.{phase}", "cat": "pww",
-                    "pid": 0, "tid": tid,
-                    "ts": start_s * _SEC_TO_US, "dur": dur_s * _SEC_TO_US,
-                    "args": {"batch": batch},
-                })
-                start_s += dur_s
-        elif ev.kind in _DEPTH_DELTA:
-            depth = depth_by_source.get(ev.source, 0) + _DEPTH_DELTA[ev.kind]
-            depth_by_source[ev.source] = depth
-            out.append({
-                "ph": "C", "name": f"{ev.source}.depth", "cat": "queue",
-                "pid": 0, "tid": tid, "ts": ts_us,
-                "args": {"depth": depth},
-            })
-        elif ev.kind == "gm_tokens":
-            node, tokens, _max_tokens = ev.detail
-            out.append({
-                "ph": "C", "name": f"gm.tokens.node{node}", "cat": "gm",
-                "pid": 0, "tid": tid, "ts": ts_us,
-                "args": {"tokens": tokens},
-            })
-        else:
-            out.append({
-                "ph": "i", "name": ev.kind, "cat": "sim", "s": "t",
-                "pid": 0, "tid": tid, "ts": ts_us,
-                "args": {"detail": _jsonable(ev.detail)},
-            })
-    if exec_events:
-        out.append({
-            "ph": "M", "name": "process_name", "pid": EXECUTOR_PID,
-            "tid": 0, "args": {"name": f"{label} (executor)"},
-        })
-        out.append({
-            "ph": "M", "name": "thread_name", "pid": EXECUTOR_PID,
-            "tid": 1, "args": {"name": "sweep points"},
-        })
-        out.extend(_executor_rows(events, exec_events))
-    other_data: Dict[str, Any] = {
-        "schema_version": TRACE_SCHEMA_VERSION,
-        "generator": "comb-obs",
-        "time_base": "simulated seconds, exported as microseconds",
-    }
-    if dropped is not None:
-        other_data["dropped_events"] = dict(sorted(dropped.items()))
-        if dropped:
-            drop_tid = len(sources) + 1
-            out.append({
-                "ph": "M", "name": "thread_name", "pid": 0, "tid": drop_tid,
-                "args": {"name": "obs.tracer"},
-            })
-            for kind, count in sorted(dropped.items()):
-                out.append({
-                    "ph": "i", "name": f"dropped.{kind}", "cat": "obs",
-                    "s": "g", "pid": 0, "tid": drop_tid, "ts": 0,
-                    "args": {"dropped": count},
-                })
-    return {
-        "traceEvents": out,
-        "displayTimeUnit": "ms",
-        "otherData": other_data,
-    }
+    The document is parsed back from the text
+    :func:`write_chrome_trace` writes, so the two never disagree.
+    """
+    return json.loads("".join(_chrome_text(events, label, dropped)))
 
 
 def write_chrome_trace(
@@ -228,12 +304,16 @@ def write_chrome_trace(
     label: str = "comb",
     dropped: Optional[Dict[str, int]] = None,
 ) -> Path:
-    """Write the Chrome trace JSON for ``events`` to ``path``."""
+    """Write the Chrome trace JSON for ``events`` to ``path``.
+
+    Rows stream to the file as they are encoded; the document is never
+    held in memory whole.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(chrome_trace(events, label=label, dropped=dropped)) + "\n"
-    )
+    with path.open("w") as fh:
+        fh.writelines(_chrome_text(events, label, dropped))
+        fh.write("\n")
     return path
 
 
@@ -253,11 +333,10 @@ def write_csv_timeline(
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seq", "time_s", "source", "kind", "detail"])
-        for ev in events:
-            writer.writerow([
-                ev.seq, repr(ev.time_s), ev.source, ev.kind,
-                json.dumps(_jsonable(ev.detail)),
-            ])
+        writer.writerows(
+            (ev.seq, repr(ev.time_s), ev.source, ev.kind, _encode(ev.detail))
+            for ev in events
+        )
         if dropped:
             for kind, count in sorted(dropped.items()):
                 writer.writerow([

@@ -143,6 +143,15 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["polling", "--system", "Elan"])
 
+    def test_unknown_figure_id_is_an_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "--ids", "fig04", "fig99"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "fig99" in err
+        # The message names the valid ids.
+        assert "scale_halo" in err and "fig11_ci" in err
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
