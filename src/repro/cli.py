@@ -543,18 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "sarif"),
                    default="text", help="output format (sarif: SARIF "
                    "2.1.0 for GitHub code scanning)")
-    p.add_argument("--baseline", default="tools/lint_baseline.json",
-                   help="grandfathered-violation baseline file")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore the baseline file (report everything)")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="rewrite the baseline to grandfather every "
-                   "current violation (DET/CACHE rules excluded)")
     p.add_argument("--select", nargs="*", default=None, metavar="RULE",
                    help="restrict to these rule ids")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="fan file-rule evaluation out over N spawn-pool "
-                   "workers (results identical to --jobs 1)")
     p.add_argument("--exclude", nargs="*", default=None, metavar="DIR",
                    help="directory names to skip during discovery "
                    "(e.g. lint_fixtures when linting tests/)")
@@ -574,49 +564,36 @@ def _maybe_sanitizer(check: bool):
 
 
 def _run_lint(args: argparse.Namespace) -> int:
-    """``comb lint``: run the static analyzer and gate on new violations."""
+    """``comb lint``: run the static analyzer and gate on its findings.
+
+    Exits 2, before linting anything, on a path that does not exist or
+    a ``--select`` id that names no registered rule.
+    """
     from .lint import (
-        Baseline,
-        NEVER_BASELINE_PREFIXES,
         format_json,
         format_rule_list,
         format_sarif,
         format_text,
         lint_paths,
+        rule_catalog,
     )
 
     if args.list_rules:
         print(format_rule_list())
         return 0
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        baseline = Baseline.load(args.baseline)
-        forbidden = baseline.forbidden_entries()
-        if forbidden:
-            rules = sorted({str(e.get("rule")) for e in forbidden})
-            print(
-                f"error: baseline {args.baseline} grandfathers "
-                f"{'/'.join(rules)} violations; the "
-                f"{'/'.join(NEVER_BASELINE_PREFIXES)} rule families must "
-                "be fixed, never baselined",
-                file=sys.stderr,
-            )
-            return 2
     select = set(args.select) if args.select else None
+    known = list(rule_catalog())
+    unknown = sorted((select or set()).difference(known))
+    if unknown:
+        print(f"comb-lint: unknown rule id(s) {', '.join(unknown)}; "
+              f"registered: {', '.join(known)}", file=sys.stderr)
+        return 2
     exclude = set(args.exclude) if args.exclude else None
-    report = lint_paths(args.paths, baseline=baseline, select=select,
-                        jobs=max(args.jobs, 1), exclude=exclude)
-    if args.write_baseline:
-        keep = [
-            v for v in report.all_found()
-            if not v.rule.startswith(NEVER_BASELINE_PREFIXES)
-        ]
-        Baseline.from_violations(keep).save(args.baseline)
-        dropped = len(report.all_found()) - len(keep)
-        print(f"wrote {len(keep)} baseline entrie(s) to {args.baseline}"
-              + (f" ({dropped} DET/CACHE violation(s) NOT grandfathered — "
-                 "fix them)" if dropped else ""))
-        return 1 if dropped else 0
+    try:
+        report = lint_paths(args.paths, select=select, exclude=exclude)
+    except FileNotFoundError as exc:
+        print(f"comb-lint: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         print(format_json(report))
     elif args.format == "sarif":

@@ -9,13 +9,13 @@ I/O in engine hot paths.
 
 Entry points::
 
-    comb lint src [--format=json] [--baseline tools/lint_baseline.json]
+    comb lint src [--format=json|sarif] [--select RULE ...]
     python tools/lint.py ...
 
-The UNIT003/UNIT004, DET005 rules run on a per-function CFG + fixpoint
-dataflow engine (:mod:`repro.lint.flow`) that propagates facts through
-assignments and arithmetic, so violations hiding behind unsuffixed
-temporaries are caught, not just misnamed bindings.
+DET005 runs on a per-function CFG + fixpoint dataflow engine
+(:mod:`repro.lint.flow`) that propagates facts through assignments and
+conversions, so unordered values hiding behind temporaries are caught,
+not just direct uses.
 
 Rules (see ``docs/lint_rules.md`` for the full catalog):
 
@@ -27,8 +27,6 @@ DET004    no hash()/id() values in simulation logic
 DET005    no unordered values flowing into keys/digests/schedules
 UNIT001   quantity-named bindings must carry unit suffixes
 UNIT002   no additive arithmetic across unit suffixes
-UNIT003   no mixed inferred dimensions in adds/compares (dataflow)
-UNIT004   no dimension laundering through relabeling assignments
 CACHE001  config dataclass fields must be cache-key visible + stable
 EXEC001   no module-state mutation reachable from pool workers
 SIM001    no blocking I/O in engine hot paths
@@ -37,12 +35,10 @@ OBS001    tracer emitters must match the declared event schemas
 ========  ==========================================================
 
 Inline waiver: ``# comb-lint: disable=RULE[,RULE...]`` on the offending
-line (``disable-file=`` for a whole file).  The CI gate additionally
-accepts a checked-in baseline of grandfathered violations — except for
-the DET and CACHE families, which may never be baselined.
+line (``disable-file=`` for a whole file) is the only way to waive a
+finding.
 """
 
-from .baseline import Baseline, BaselineError, NEVER_BASELINE_PREFIXES
 from .model import LintViolation, SIM_PACKAGES
 from .output import format_json, format_rule_list, format_text
 from .rules import all_rule_classes, rule_catalog
@@ -50,9 +46,6 @@ from .runner import LintReport, iter_python_files, lint_paths
 from .sarif import format_sarif, sarif_log
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
-    "NEVER_BASELINE_PREFIXES",
     "LintViolation",
     "SIM_PACKAGES",
     "LintReport",

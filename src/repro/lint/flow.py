@@ -1,8 +1,8 @@
 """Per-function control-flow graphs and fixpoint abstract interpretation.
 
-This is the engine under comb-lint's dataflow rules (UNIT003/UNIT004
-dimension inference, DET005 orderedness tracking).  It deliberately stays
-small and predictable rather than general:
+This is the engine under comb-lint's dataflow rule (DET005 orderedness
+tracking).  It deliberately stays small and predictable rather than
+general:
 
 * :func:`build_cfg` lowers one function body to basic blocks.  Branch
   *tests* and loop headers are kept as block items so an analysis can

@@ -54,15 +54,15 @@ class LintViolation:
     message: str
     #: Enclosing ``Class.function`` qualname, or ``<module>``.
     symbol: str
-    #: The stripped source line (for output and baseline fingerprints).
+    #: The stripped source line (for output and fingerprints).
     snippet: str
     severity: str = "error"
 
     def fingerprint(self) -> str:
-        """Stable identity used by the baseline file.
+        """Stable identity (SARIF ``partialFingerprints``).
 
         Deliberately excludes the line number: inserting unrelated lines
-        above a grandfathered violation must not un-baseline it.
+        above a finding must not change its identity.
         """
         blob = "\x1f".join((self.rule, self.path, self.symbol, self.snippet))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -28,12 +28,10 @@ def format_text(report: LintReport) -> str:
             f"({breakdown}) in {report.files_checked} file(s)"
         )
     else:
-        extras = []
-        if report.baselined:
-            extras.append(f"{len(report.baselined)} baselined")
-        if report.suppressed:
-            extras.append(f"{len(report.suppressed)} suppressed")
-        tail = f" ({', '.join(extras)})" if extras else ""
+        tail = (
+            f" ({len(report.suppressed)} suppressed)"
+            if report.suppressed else ""
+        )
         lines.append(
             f"comb-lint: clean — {report.files_checked} file(s){tail}"
         )
@@ -47,13 +45,11 @@ def format_json(report: LintReport) -> str:
         "files_checked": report.files_checked,
         "counts": {
             "new": len(report.violations),
-            "baselined": len(report.baselined),
             "suppressed": len(report.suppressed),
             "parse_errors": len(report.parse_errors),
         },
         "by_rule": _rule_counts(report),
         "violations": [v.to_dict() for v in report.violations],
-        "baselined": [v.to_dict() for v in report.baselined],
         "parse_errors": [v.to_dict() for v in report.parse_errors],
     }
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -1,34 +1,22 @@
 """Lint driver: file discovery, rule evaluation, report assembly.
 
-File rules — including the dataflow fixpoints, the expensive part — can
-be fanned out over a *spawn*-context process pool (the executor's
-idiom: spawn, not fork, so workers import a clean interpreter and the
-pooled run is bit-identical to the serial one).  Workers parse their own
-files and return plain :class:`~repro.lint.model.LintViolation` values;
-the parent always parses the full set anyway because project rules and
-suppression/baseline matching need every context, and the final sort
-makes result order independent of worker scheduling.
+Every file is parsed once; file rules run over each context in turn and
+project rules over the whole batch, and the final sort makes the report
+independent of discovery order.
 """
 
 from __future__ import annotations
 
-import ast
-import multiprocessing
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union,
-)
+from typing import Iterable, List, Optional, Sequence, Set, Union
 
-from .baseline import Baseline
 from .model import FileContext, LintViolation
 from .rules import FileRule, ProjectRule, all_rule_classes
 
 # Importing the rule modules populates the registry.
 from . import cachekey as _cachekey  # noqa: F401
 from . import det as _det  # noqa: F401
-from . import dims as _dims  # noqa: F401
 from . import execsafe as _execsafe  # noqa: F401
 from . import obsrules as _obsrules  # noqa: F401
 from . import simio as _simio  # noqa: F401
@@ -45,10 +33,8 @@ _SKIP_DIRS: Set[str] = {
 class LintReport:
     """Outcome of one lint run."""
 
-    #: Violations that gate (not suppressed, not baselined), sorted.
+    #: Violations that gate (not suppressed), sorted.
     violations: List[LintViolation] = field(default_factory=list)
-    #: Violations matched by the baseline file.
-    baselined: List[LintViolation] = field(default_factory=list)
     #: Violations waived by ``# comb-lint: disable`` comments.
     suppressed: List[LintViolation] = field(default_factory=list)
     #: Files that failed to parse, as synthetic PARSE001 violations.
@@ -57,7 +43,7 @@ class LintReport:
 
     @property
     def ok(self) -> bool:
-        """Gate verdict: no new violations and no unparseable files."""
+        """Gate verdict: no violations and no unparseable files."""
         return not self.violations and not self.parse_errors
 
     @property
@@ -66,10 +52,7 @@ class LintReport:
 
     def all_found(self) -> List[LintViolation]:
         """Everything the rules reported, regardless of disposition."""
-        return sorted(
-            self.violations + self.baselined + self.suppressed,
-            key=_sort_key,
-        )
+        return sorted(self.violations + self.suppressed, key=_sort_key)
 
 
 def _sort_key(v: LintViolation) -> tuple:
@@ -85,11 +68,15 @@ def iter_python_files(
     ``exclude`` names directory components to skip (on top of the
     built-in skip list) — ``{"lint_fixtures"}`` lets CI lint ``tests/``
     without tripping over the deliberately-violating rule fixtures.
+    A path that does not exist raises :class:`FileNotFoundError`, so a
+    misspelled target fails instead of linting nothing.
     """
     skip = _SKIP_DIRS | (exclude or set())
     out: Set[Path] = set()
     for raw in paths:
         p = Path(raw)
+        if not p.exists():
+            raise FileNotFoundError(f"no such file or directory: {raw}")
         if p.is_dir():
             for sub in sorted(p.rglob("*.py")):
                 if not skip.intersection(sub.parts):
@@ -135,40 +122,9 @@ def load_contexts(
     return ctxs, errors
 
 
-def _file_rules(select: Optional[FrozenSet[str]]) -> List[FileRule]:
-    return [
-        cls()
-        for cls in all_rule_classes()
-        if issubclass(cls, FileRule)
-        and (select is None or cls.rule_id in select)
-    ]
-
-
-def _check_one_file(
-    args: Tuple[str, str, Optional[FrozenSet[str]]],
-) -> List[LintViolation]:
-    """Pool worker: parse one file, run every (selected) file rule.
-
-    Parse failures return ``[]`` — the parent parses the same file and
-    owns PARSE001 reporting, so the worker never double-reports.
-    """
-    path_str, display, select = args
-    try:
-        source = Path(path_str).read_text(encoding="utf-8")
-        ctx = FileContext(Path(path_str), display, source)
-    except (SyntaxError, ValueError, OSError):
-        return []
-    found: List[LintViolation] = []
-    for rule in _file_rules(select):
-        found.extend(rule.check(ctx))
-    return found
-
-
 def lint_paths(
     paths: Sequence[Union[str, Path]],
-    baseline: Optional[Baseline] = None,
     select: Optional[Set[str]] = None,
-    jobs: int = 1,
     exclude: Optional[Set[str]] = None,
 ) -> LintReport:
     """Lint ``paths`` and return the full report.
@@ -177,15 +133,8 @@ def lint_paths(
     ----------
     paths:
         Files and/or directories (recursed) to lint.
-    baseline:
-        Grandfathered violations; matches are reported separately and do
-        not gate.
     select:
         Restrict evaluation to these rule ids (default: all rules).
-    jobs:
-        File-rule fan-out width.  ``jobs > 1`` evaluates file rules in a
-        spawn-context process pool; project rules always run in the
-        parent.  Results are bit-identical to the serial path.
     exclude:
         Extra directory names to skip during discovery.
     """
@@ -193,29 +142,17 @@ def lint_paths(
     files = iter_python_files(paths, exclude=exclude)
     ctxs, report.parse_errors = load_contexts(files)
     report.files_checked = len(ctxs)
-    selected = frozenset(select) if select is not None else None
 
     found: List[LintViolation] = []
-    pooled = jobs > 1 and len(ctxs) > 1
-    if pooled:
-        work = [
-            (str(ctx.path), ctx.display_path, selected) for ctx in ctxs
-        ]
-        spawn = multiprocessing.get_context("spawn")
-        with spawn.Pool(processes=min(jobs, len(work))) as pool:
-            for batch in pool.map(_check_one_file, work):
-                found.extend(batch)
-    else:
-        rules = _file_rules(selected)
-        for ctx in ctxs:
-            for rule in rules:
-                found.extend(rule.check(ctx))
     for rule_cls in all_rule_classes():
-        if not issubclass(rule_cls, ProjectRule):
+        if select is not None and rule_cls.rule_id not in select:
             continue
-        if selected is not None and rule_cls.rule_id not in selected:
-            continue
-        found.extend(rule_cls().check_project(ctxs))
+        rule = rule_cls()
+        if isinstance(rule, FileRule):
+            for ctx in ctxs:
+                found.extend(rule.check(ctx))
+        elif isinstance(rule, ProjectRule):
+            found.extend(rule.check_project(ctxs))
 
     sup_index = {ctx.display_path: ctx.suppressions for ctx in ctxs}
     for violation in sorted(found, key=_sort_key):
@@ -224,8 +161,6 @@ def lint_paths(
             violation.rule, violation.line
         ):
             report.suppressed.append(violation)
-        elif baseline is not None and baseline.contains(violation):
-            report.baselined.append(violation)
         else:
             report.violations.append(violation)
     return report

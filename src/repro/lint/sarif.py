@@ -11,11 +11,10 @@ Shape notes (the parts of the 2.1.0 spec that bite):
   columns, so ``startColumn`` is ``col + 1``.
 * every result references its rule by ``ruleIndex`` into the driver's
   ``rules`` array, which lists each rule exactly once.
-* suppressed/baselined findings are still emitted, carrying a
-  ``suppressions`` entry (``inSource`` for ``# comb-lint: disable``,
-  ``external`` for the baseline file) — code scanning shows them as
-  resolved rather than losing them.
-* ``partialFingerprints`` carries the baseline fingerprint, which is
+* findings waived by ``# comb-lint: disable`` are still emitted,
+  carrying an ``inSource`` suppression entry — code scanning shows them
+  as resolved rather than losing them.
+* ``partialFingerprints`` carries the violation fingerprint, which is
   line-number independent, so annotations track moved code.
 """
 
@@ -97,7 +96,6 @@ def sarif_log(report: LintReport) -> Dict[str, object]:
         (report.violations, None),
         (report.parse_errors, None),
         (report.suppressed, "inSource"),
-        (report.baselined, "external"),
     ]
     results = [
         _result(v, rule_index, kind)

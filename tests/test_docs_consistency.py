@@ -1,8 +1,9 @@
 """Consistency checks between documentation and the repository.
 
 Docs that reference files which do not exist rot silently; these tests
-keep README.md, DESIGN.md, EXPERIMENTS.md and the CLI examples in
-docs/, CONTRIBUTING.md and the verify skill anchored to reality.
+keep README.md, DESIGN.md, EXPERIMENTS.md, the CLI examples in docs/,
+CONTRIBUTING.md, the verify skill and the lint rule docs anchored to
+reality.
 """
 
 import os
@@ -137,3 +138,22 @@ class TestApiReference:
         assert out == _read("docs/api.md"), (
             "docs/api.md is stale; regenerate it with "
             "`PYTHONPATH=src python tools/gen_api_docs.py`")
+
+
+class TestLintDocs:
+    """The rule docs name exactly the registered rules: a deleted rule
+    must take its documentation with it, and a new one must bring some."""
+
+    def test_rule_catalog_headings_match_registry(self):
+        from repro.lint import rule_catalog
+
+        headings = re.findall(r"^## ([A-Z]+\d{3}) —",
+                              _read("docs/lint_rules.md"), re.M)
+        assert sorted(headings) == sorted([*rule_catalog(), "PARSE001"])
+
+    def test_architecture_rule_table_matches_registry(self):
+        from repro.lint import rule_catalog
+
+        rows = re.findall(r"^\| `([A-Z]+\d{3})`",
+                          _read("docs/architecture.md"), re.M)
+        assert sorted(rows) == sorted(rule_catalog())

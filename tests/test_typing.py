@@ -1,4 +1,4 @@
-"""Strict-typing gate for repro.lint / repro.verify / repro.core / repro.obs.
+"""Strict-typing gate for the lint / verify / core / obs / stats packages.
 
 Runs mypy (configured in pyproject.toml) over the strict packages.  The
 check is skipped when mypy is not installed — the canonical run is the
@@ -33,6 +33,8 @@ def test_strict_packages_pass_mypy():
             "repro.core",
             "-p",
             "repro.obs",
+            "-p",
+            "repro.stats",
         ],
         cwd=REPO,
         capture_output=True,

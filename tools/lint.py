@@ -21,9 +21,4 @@ from repro.cli import main  # noqa: E402
 
 
 if __name__ == "__main__":
-    argv = sys.argv[1:]
-    # Default the baseline to the repo's copy regardless of CWD.
-    if not any(a.startswith("--baseline") for a in argv):
-        argv = ["--baseline", str(ROOT / "tools" / "lint_baseline.json"),
-                *argv]
-    sys.exit(main(["lint", *argv]))
+    sys.exit(main(["lint", *sys.argv[1:]]))
