@@ -9,7 +9,7 @@ Subcommands::
     comb netperf --system GM --mode busywait
     comb figures [--ids fig08 fig11] [--per-decade 2] [--out results/]
     comb report  [--per-decade 2]
-    comb compare [baseline candidate]
+    comb compare [--systems GM Portals] [--size 100]
     comb history [--figure fig08] [--last 5] [--format json]
     comb top     results/stream.ndjson [--once]
 
@@ -52,13 +52,10 @@ availability loss is decomposed into named causes
 
 ``figures`` and ``report`` exit 1 when a paper claim fails.
 
-``comb compare`` doubles as the statistical regression sentinel: with
-two run paths (run-ledger ``.jsonl`` files, ``metrics.json`` sidecars,
-or directories of them) it bootstraps confidence intervals over median
-differences and exits 1 on significant regressions (see
-:mod:`repro.obs.compare`).  ``--format json`` emits the verdict
-machine-readably (per-metric CIs, the regression list, and the
-exit-status rationale).
+``comb compare`` prints the paper's system comparison table (GM,
+Portals, TCP and the offload NIC).  It judges no timings: an A/B speed
+claim comes from replicated ``perfbench/`` records compared with
+``perfbench/compare.py``.
 
 Live telemetry (``figures``, ``report``): ``--progress`` renders a live
 status line with per-worker heartbeats and a cache-aware ETA;
@@ -72,8 +69,8 @@ Every executor-driven run also appends point outcomes and a closing
 summary to the persistent run ledger (``results/ledger/ledger.jsonl``;
 ``--no-ledger`` opts out, ``--ledger-dir`` relocates it).  ``comb
 history`` filters and aggregates that ledger (outcome counts, mean miss
-wall, per-figure wall trend), and ``comb compare`` accepts a ledger
-file as a run-history source.
+wall, per-figure wall trend, and a note when pure-core and C-kernel
+runs mix).
 """
 
 from __future__ import annotations
@@ -431,27 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-decade", type=int, default=2)
     _add_executor_flags(p)
 
-    p = sub.add_parser(
-        "compare",
-        help="system comparison table (no args), or the statistical "
-        "regression sentinel over two run profiles",
-    )
-    p.add_argument("runs", nargs="*", default=[],
-                   help="0 args: system table; 2 args: baseline run vs "
-                   "candidate run (ledger .jsonl, metrics.json, or a "
-                   "directory of them each)")
+    p = sub.add_parser("compare", help="system comparison table")
     p.add_argument("--systems", nargs="*", default=None,
+                   choices=sorted(PRESETS),
                    help="preset names (default: all, plus the offload NIC)")
     p.add_argument("--size", type=float, default=100,
                    help="message size (KB)")
-    p.add_argument("--min-rel", type=float, default=None, metavar="FRAC",
-                   help="minimum relative slowdown to call a regression "
-                   "(default: 0.05)")
-    p.add_argument("--min-records", type=int, default=1, metavar="N",
-                   help="baseline samples required per metric (default: 1)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="verdict output format (json: machine-readable "
-                   "regressions, CIs, and exit-status rationale)")
 
     p = sub.add_parser(
         "history",
@@ -465,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default=None,
                    choices=("polling", "pww", "pattern"),
                    help="restrict point records to this method kind")
-    p.add_argument("--last", type=int, default=None, metavar="N",
+    p.add_argument("--last", type=_positive_int, default=None, metavar="N",
                    help="only the newest N runs")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format (default: text)")
@@ -728,44 +710,6 @@ def _write_attribution(events, out_dir, target) -> object:
     return path
 
 
-def _run_compare_runs(args: argparse.Namespace) -> int:
-    """``comb compare A B``: the statistical regression sentinel."""
-    import json as _json
-    from pathlib import Path
-
-    from .obs import compare_paths
-    from .obs.compare import DEFAULT_MIN_REL
-
-    if len(args.runs) != 2:
-        print("error: compare takes 0 run paths (system table) or 2 "
-              "(baseline candidate)", file=sys.stderr)
-        return 2
-    runs = [Path(r) for r in args.runs]
-    for run in runs:
-        if not run.exists():
-            print(f"error: run path {run} does not exist", file=sys.stderr)
-            return 2
-    # The user picked the samples, so singleton baselines are judged
-    # (zero-width CI) instead of skipped; --min-records sets a stricter
-    # gate.
-    try:
-        report = compare_paths(
-            runs[0], runs[1],
-            min_rel=(args.min_rel if args.min_rel is not None
-                     else DEFAULT_MIN_REL),
-            min_records=args.min_records,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"compare: {runs[1]} (candidate) vs {runs[0]} (baseline)")
-        print(report.format())
-    return report.exit_code
-
-
 def _run_history(args: argparse.Namespace) -> int:
     """``comb history``: deterministic aggregates over the run ledger."""
     import json as _json
@@ -957,8 +901,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_top(args)
 
     if args.command == "compare":
-        if args.runs:
-            return _run_compare_runs(args)
         from .analysis.tables import format_table, system_comparison
         from .ext import offload_nic_system
 

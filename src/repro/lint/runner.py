@@ -68,8 +68,9 @@ def iter_python_files(
     ``exclude`` names directory components to skip (on top of the
     built-in skip list) — ``{"lint_fixtures"}`` lets CI lint ``tests/``
     without tripping over the deliberately-violating rule fixtures.
-    A path that does not exist raises :class:`FileNotFoundError`, so a
-    misspelled target fails instead of linting nothing.
+    A path that does not exist, or a named file that is not ``.py``,
+    raises :class:`FileNotFoundError`, so a misspelled target fails
+    instead of linting nothing.
     """
     skip = _SKIP_DIRS | (exclude or set())
     out: Set[Path] = set()
@@ -83,6 +84,8 @@ def iter_python_files(
                     out.add(sub)
         elif p.suffix == ".py":
             out.add(p)
+        else:
+            raise FileNotFoundError(f"not a Python file: {raw}")
     return sorted(out)
 
 

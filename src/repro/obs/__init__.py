@@ -34,12 +34,6 @@ from .attribution import (
     attribute_window,
     format_attribution,
 )
-from .compare import (
-    CompareReport,
-    MetricComparison,
-    compare_paths,
-    compare_samples,
-)
 from .context import current_observer, use_observer
 from .ledger import (
     LEDGER_SCHEMA_VERSION,
@@ -82,7 +76,6 @@ from .tracer import ObsEvent, ObsTracer
 
 __all__ = [
     "ALL_CAUSES",
-    "CompareReport",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS_S",
     "DEFAULT_SIM_TIME_BUCKETS_S",
@@ -90,7 +83,6 @@ __all__ = [
     "Histogram",
     "LEDGER_SCHEMA_VERSION",
     "MessageSpans",
-    "MetricComparison",
     "MetricsRegistry",
     "ObsEvent",
     "ObsTracer",
@@ -110,8 +102,6 @@ __all__ = [
     "attribute_events",
     "attribute_window",
     "chrome_trace",
-    "compare_paths",
-    "compare_samples",
     "current_observer",
     "format_attribution",
     "format_history",

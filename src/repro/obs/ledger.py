@@ -14,10 +14,10 @@ leaves at most one torn final line (tolerated and counted by
 :func:`read_records`), and the file needs no migration — old and new
 record shapes coexist, distinguished by ``rec`` and ``v``.
 
-Consumers: ``comb history`` (filter / aggregate / per-figure wall
-trend via :func:`history_aggregate`), and ``comb compare``, which
-accepts a ledger file as a run-history source (each ``run`` record
-becomes one sample; see :func:`run_record_samples`).
+The one consumer is ``comb history`` (filter / aggregate / per-figure
+wall trend via :func:`history_aggregate`).  The ledger is a log, not a
+timing verdict: an A/B speed claim comes from replicated, labelled
+``perfbench/`` records compared with ``perfbench/compare.py``.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class RunLedger:
             "cmd": self.cmd,
             "timestamp": timestamp,
             "wall_s": wall_s,
-            # The run-total key ``comb compare`` samples (scalar_profile).
+            # Kept for ledger readers: schema v1 is additive-only.
             "total_s": wall_s,
             "compiled": compiled,
             "reps": reps,
@@ -168,7 +168,8 @@ def filter_records(
     kind: Optional[str] = None,
     last: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
-    """``comb history``'s filters; ``last`` keeps the newest N *runs*.
+    """``comb history``'s filters; ``last`` keeps the newest N *runs*
+    (none when N < 1).
 
     ``figure`` matches point records by their ``figure`` field and run
     records by figure presence in their ``figures`` map.
@@ -189,13 +190,13 @@ def filter_records(
     if kind is not None:
         out = [r for r in out if r.get("kind") == kind
                or r.get("rec") == "run"]
-    if last is not None and last >= 0:
+    if last is not None:
         run_ids: List[str] = []
         for record in out:
             run_id = str(record.get("run_id"))
             if run_id not in run_ids:
                 run_ids.append(run_id)
-        keep = set(run_ids[-last:])
+        keep = set(run_ids[-last:]) if last > 0 else set()
         out = [r for r in out if str(r.get("run_id")) in keep]
     return out
 
@@ -236,6 +237,7 @@ def history_aggregate(records: List[Dict[str, Any]]) -> Dict[str, Any]:
                     trend.setdefault(fig_id, []).append(float(fig_wall))
     return {
         "runs": len(runs),
+        "compiled_runs": sum(1 for r in runs if r.get("compiled") is True),
         "points": len(points),
         "outcomes": {k: outcomes[k] for k in sorted(outcomes)},
         "points_by_kind": {k: per_kind[k] for k in sorted(per_kind)},
@@ -268,6 +270,12 @@ def format_history(
     mean_miss_wall_s = aggregate.get("mean_miss_wall_s")
     if mean_miss_wall_s is not None:
         lines.append(f"  mean miss wall: {mean_miss_wall_s:.4f}s")
+    runs, compiled_runs = aggregate["runs"], aggregate["compiled_runs"]
+    if 0 < compiled_runs < runs:
+        lines.append(
+            f"  mixed cores: {compiled_runs} of {runs} runs compiled, "
+            f"{runs - compiled_runs} pure; the wall trends pool both"
+        )
     run_walls = aggregate.get("run_wall_s") or []
     if run_walls:
         walls = " ".join(f"{w:.2f}" for w in run_walls)
@@ -280,17 +288,6 @@ def format_history(
     return "\n".join(lines)
 
 
-def run_record_samples(path: Path) -> List[Dict[str, Any]]:
-    """The ledger's ``run`` records, for ``comb compare`` sampling.
-
-    Each run record already carries the ``total_s`` / ``figures`` shape
-    :func:`repro.obs.compare.scalar_profile` understands, so a ledger
-    file plugs straight in as a history source.
-    """
-    records, _corrupt = read_records(path)
-    return [r for r in records if r.get("rec") == "run"]
-
-
 __all__ = [
     "DEFAULT_LEDGER_DIR",
     "LEDGER_FILENAME",
@@ -301,5 +298,4 @@ __all__ = [
     "history_aggregate",
     "ledger_path",
     "read_records",
-    "run_record_samples",
 ]

@@ -2,8 +2,7 @@
 
 The median (not the mean) is the location estimate throughout the suite
 — replicate distributions from a discrete-event simulator under fault
-injection are not symmetric, and the regression sentinel
-(:mod:`repro.obs.compare`) already judges medians.
+injection are not symmetric.
 
 Two invariances are load-bearing and enforced by property tests:
 

@@ -120,3 +120,20 @@ class TestCompareCli:
         assert rc == 0
         assert "GM" in out and "Portals" in out
         assert "offload" in out
+
+    def test_unknown_system_is_argument_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--systems", "BOGUS"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "BOGUS" in err and "Traceback" not in err
+
+    def test_run_paths_are_argument_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "a.jsonl", "b.jsonl"])
+        assert exc.value.code == 2
+        assert "a.jsonl" in capsys.readouterr().err

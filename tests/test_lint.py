@@ -337,6 +337,16 @@ def test_cli_rejects_missing_path(capsys, tmp_path):
     assert "clean" not in captured.out
 
 
+def test_cli_rejects_non_python_file(capsys, tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text("# not Python\n")
+    rc = cli_main(["lint", str(readme)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert str(readme) in captured.err
+    assert "clean" not in captured.out
+
+
 def test_cli_list_rules(capsys):
     rc = cli_main(["lint", "--list-rules"])
     assert rc == 0

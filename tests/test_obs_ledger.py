@@ -2,9 +2,9 @@
 
 Covers the append-only JSONL contract (torn lines tolerated and
 counted, concurrent-append-safe single-write lines), the ``comb
-history`` filters/aggregates (byte-identical on repeat), the ledger as
-a ``comb compare`` history source, ``--format json`` verdicts, and the
-one-line-error convention for unwritable ledger/stream targets.
+history`` filters/aggregates (byte-identical on repeat, mixed cores
+named), and the one-line-error convention for unwritable ledger/stream
+targets.
 """
 
 import json
@@ -20,7 +20,6 @@ from repro.obs.ledger import (
     history_aggregate,
     ledger_path,
     read_records,
-    run_record_samples,
 )
 
 RUN_META = dict(
@@ -118,6 +117,9 @@ class TestFilters:
         out = filter_records(records, last=1)
         assert {r["run_id"] for r in out} == {"r2"}
 
+    def test_last_zero_keeps_no_runs(self, records):
+        assert filter_records(records, last=0) == []
+
 
 # --------------------------------------------------------------- aggregates
 class TestAggregates:
@@ -152,11 +154,29 @@ class TestAggregates:
 
     def test_run_record_samples_shape(self, tmp_path):
         path = _seed_ledger(tmp_path / "ledger")
-        samples = run_record_samples(path)
+        records, _corrupt = read_records(path)
+        samples = [r for r in records if r.get("rec") == "run"]
         assert len(samples) == 1
-        # The shape compare.scalar_profile consumes: total_s + figures.
-        assert samples[0]["total_s"] == 2.5
+        # Schema v1 is additive-only: run records keep total_s + figures.
+        assert samples[0]["total_s"] == samples[0]["wall_s"] == 2.5
         assert samples[0]["figures"]["fig04"] == 1.5
+
+    def test_mixed_cores_are_counted_and_named(self, tmp_path):
+        ledger_dir = tmp_path / "ledger"
+        for run_id, wall_s, compiled in (("r1", 1.0, False),
+                                         ("r2", 2.0, True)):
+            ledger = RunLedger(ledger_dir, run_id, "figures")
+            ledger.record_run(**{**RUN_META, "wall_s": wall_s,
+                                 "compiled": compiled})
+            ledger.close()
+        records, _ = read_records(ledger_path(ledger_dir))
+        agg = history_aggregate(records)
+        assert (agg["runs"], agg["compiled_runs"]) == (2, 1)
+        text = format_history(agg)
+        assert "mixed cores: 1 of 2 runs compiled, 1 pure" in text
+        one_core = history_aggregate(records[:1])
+        assert one_core["compiled_runs"] == 0
+        assert "mixed cores" not in format_history(one_core)
 
 
 # ------------------------------------------------------------------ CLI: runs
@@ -213,6 +233,16 @@ class TestCliLedgerWiring:
                      "--kind", "pww", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["points_by_kind"] == {"pww": 1}
+
+    @pytest.mark.parametrize("last", ["0", "-1"])
+    def test_history_last_below_one_is_argument_error(
+            self, tmp_path, capsys, last):
+        _seed_ledger(tmp_path / "ledger", run_id="r1")
+        with pytest.raises(SystemExit) as exc:
+            main(["history", "--ledger-dir", str(tmp_path / "ledger"),
+                  "--last", last])
+        assert exc.value.code == 2
+        assert "--last" in capsys.readouterr().err
 
     def test_history_without_ledger_is_friendly(self, tmp_path, capsys):
         assert main(["history", "--ledger-dir",
@@ -287,41 +317,3 @@ class TestUnwritableTargets:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot open progress stream")
         assert "Traceback" not in captured.err
-
-
-# ------------------------------------------------------ CLI: compare formats
-def _ledger_of_runs(ledger_dir, totals_s, fig04_s):
-    """A ledger holding one ``run`` record per total (total_s = wall_s)."""
-    ledger = RunLedger(ledger_dir, "r1", "figures")
-    for total_s in totals_s:
-        ledger.record_run(**{**RUN_META, "wall_s": total_s},
-                          figures={"fig04": fig04_s}, claims_ok=True)
-    ledger.close()
-    return ledger_path(ledger_dir)
-
-
-class TestCompareJson:
-    def test_json_verdict_shape(self, tmp_path, capsys):
-        base = _ledger_of_runs(tmp_path / "base", (10.0, 10.1, 9.9), 1.0)
-        cand = _ledger_of_runs(tmp_path / "cand", (20.0, 20.1, 19.9), 2.0)
-        code = main(["compare", str(base), str(cand), "--format", "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 1 and doc["exit_code"] == 1
-        assert doc["schema_version"] == 1
-        assert "total_s" in doc["regressions"]
-        assert "2 regressions" in doc["exit_rationale"]
-        by_name = {c["name"]: c for c in doc["comparisons"]}
-        assert by_name["total_s"]["regression"] is True
-        assert by_name["total_s"]["ci_low_s"] > 0
-
-    def test_ledger_file_as_history_source(self, tmp_path, capsys):
-        base = tmp_path / "base"
-        base.mkdir()
-        (base / "metrics.json").write_text(json.dumps(
-            {"total_s": 2.5, "figures": {"fig04": 1.5}}))
-        path = _seed_ledger(tmp_path / "ledger")
-        code = main(["compare", str(base), str(path), "--format", "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 0 and doc["exit_code"] == 0
-        names = {c["name"] for c in doc["comparisons"]}
-        assert "total_s" in names  # run records became samples
