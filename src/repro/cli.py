@@ -12,6 +12,7 @@ Subcommands::
     comb compare [--systems GM Portals] [--size 100]
     comb history [--figure fig08] [--last 5] [--format json]
     comb top     results/stream.ndjson [--once]
+    comb trace   polling --system Portals --interval 1000
 
 ``comb pattern`` runs an application communication pattern (halo2d,
 halo3d, sweep, allreduce — ``halo`` is an alias for halo2d) across
@@ -19,17 +20,22 @@ halo3d, sweep, allreduce — ``halo`` is an alias for halo2d) across
 per-rank plus aggregate (min/median/max) CPU availability.
 
 All sizes are in the paper's KB (KiB); intervals are work-loop iterations.
+Every simulated point, from a point command, a figure, or a trace, runs
+as a :class:`~repro.core.executor.PointTask` through
+:class:`~repro.core.executor.SweepExecutor`.  The point commands use a
+serial executor with no cache and no ledger.
 
 The sweep-heavy subcommands (``figures``, ``report``) accept ``--jobs N``
 to fan points out over a process pool and use an on-disk point cache under
 ``.comb_cache/`` by default (``--no-cache`` disables it, ``--cache-dir``
 relocates it).  Results are bit-identical for every combination of flags.
 
-``--check`` (on ``polling``, ``pww``, ``figures``, ``report``) runs the
-simulation sanitizer — runtime invariant checks over every simulated
-point (see :mod:`repro.verify`).  Output values are unchanged; the exit
-status is 1 if any invariant was violated.  Cached points are returned
-as-is (they were checked, or checkable, when first simulated).
+``--check`` (on ``polling``, ``pww``, ``pattern``, ``figures``,
+``report``) runs the simulation sanitizer — runtime invariant checks
+over every simulated point (see :mod:`repro.verify`).  Output values are
+unchanged; the exit status is 1 if any invariant was violated.  Cached
+points are returned as-is (they were checked, or checkable, when first
+simulated).
 
 ``--metrics`` (on ``figures``, ``report``) attaches the observability
 layer (:mod:`repro.obs`): simulation metrics (phase breakdowns, poll
@@ -40,13 +46,15 @@ with ``--jobs > 1`` points simulate in worker processes, whose simulation
 events stay there — sim metrics cover in-process points; executor stage
 profiles always cover everything.
 
-``comb trace <figure|polling|pww>`` runs one figure or one point with
-the full tracer attached (forced serial, uncached, so every event is
-captured) and exports a Chrome ``trace_event`` JSON (loads in
+``comb trace <figure|polling|pww|pattern>`` runs one figure or one point
+with the full tracer attached (forced serial, uncached, so every event
+is captured) and exports a Chrome ``trace_event`` JSON (loads in
 ``about:tracing`` / Perfetto), a CSV timeline, and the metrics sidecar.
-With ``--attribution`` the event stream is additionally stitched into
-causal spans (:mod:`repro.obs.spans`) and each sweep point's wait time /
-availability loss is decomposed into named causes
+``polling`` and ``pww`` targets also print each node's kernel time by
+handler label and its user/kernel/idle shares.  With ``--attribution``
+the event stream is additionally stitched into causal spans
+(:mod:`repro.obs.spans`) and each sweep point's wait time / availability
+loss, warmup excluded, is decomposed into named causes
 (:mod:`repro.obs.attribution`), printed as a table and exported as
 ``<target>.attribution.json``.
 
@@ -76,6 +84,7 @@ runs mix).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -87,23 +96,53 @@ from .core import (
     CombSuite,
     PointCache,
     PollingConfig,
+    PollingPoint,
     PwwConfig,
+    PwwPoint,
     SweepExecutor,
-    run_polling,
-    run_pww,
 )
-from .core.executor import DEFAULT_CACHE_DIR
-from .patterns import PATTERN_KINDS
+from .core.executor import DEFAULT_CACHE_DIR, PointTask
+from .patterns import PATTERN_KINDS, PatternConfig
 
 #: ``comb pattern`` / ``comb trace`` accept ``halo`` for halo2d.
 _PATTERN_ALIASES = {"halo": "halo2d", **{k: k for k in PATTERN_KINDS}}
 
+#: Point kind -> (config type, {option dest: config field}).  A point
+#: command and a ``comb trace`` point target build their task from this
+#: one table; an option the command lacks or leaves unset keeps the
+#: config's own default.
+_POINT_OPTIONS = {
+    "polling": (PollingConfig, {"interval": "poll_interval_iters",
+                                "queue_depth": "queue_depth"}),
+    "pww": (PwwConfig, {"interval": "work_interval_iters",
+                        "tests_in_work": "tests_in_work"}),
+    "pattern": (PatternConfig, {
+        "ranks": "ranks", "interval": "work_interval_iters",
+        "iterations": "iterations", "warmup": "warmup_iterations",
+        "topology": "topology", "arity": "arity",
+        "ghost_width": "ghost_width", "algorithm": "algorithm",
+        "grid": "grid",
+    }),
+}
+
+
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _rank_count(text: str) -> int:
+    return _int_at_least(text, 2)  # a pattern needs two ranks
 
 
 def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
@@ -358,15 +397,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("polling", help="one polling-method measurement")
     _add_system(p)
     p.add_argument("--size", type=float, default=100, help="message size (KB)")
-    p.add_argument("--interval", type=int, default=10_000,
+    p.add_argument("--interval", type=_positive_int, default=10_000,
                    help="poll interval (loop iterations)")
-    p.add_argument("--queue-depth", type=int, default=4)
+    p.add_argument("--queue-depth", type=_positive_int, default=4)
     _add_check_flag(p)
 
     p = sub.add_parser("pww", help="one post-work-wait measurement")
     _add_system(p)
     p.add_argument("--size", type=float, default=100, help="message size (KB)")
-    p.add_argument("--interval", type=int, default=100_000,
+    p.add_argument("--interval", type=_non_negative_int, default=100_000,
                    help="work interval (loop iterations)")
     p.add_argument("--tests-in-work", type=int, default=0,
                    help="MPI_Test calls inserted early in the work phase")
@@ -380,22 +419,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern", choices=sorted(_PATTERN_ALIASES),
                    help="pattern kind (halo = halo2d)")
     _add_system(p)
-    p.add_argument("--ranks", type=_positive_int, default=4,
+    p.add_argument("--ranks", type=_rank_count, default=4,
                    help="rank count (one rank per node; default: 4)")
     p.add_argument("--size", type=float, default=100,
                    help="message size per neighbor/round (KB)")
-    p.add_argument("--interval", type=int, default=100_000,
+    p.add_argument("--interval", type=_non_negative_int, default=100_000,
                    help="work interval per iteration (loop iterations)")
     p.add_argument("--iterations", type=_positive_int, default=6,
                    help="measured iterations (default: 6)")
-    p.add_argument("--warmup", type=int, default=2,
+    p.add_argument("--warmup", type=_non_negative_int, default=2,
                    help="untimed warmup iterations (default: 2)")
     p.add_argument("--topology", default="crossbar",
                    choices=("crossbar", "fattree"),
                    help="network fabric (default: crossbar)")
     p.add_argument("--arity", type=int, default=0,
                    help="fat-tree arity k (0: the switch's port count)")
-    p.add_argument("--ghost-width", type=int, default=1,
+    p.add_argument("--ghost-width", type=_positive_int, default=1,
                    help="halo ghost-layer width (scales the payload)")
     p.add_argument("--algorithm", default="binomial",
                    choices=("binomial", "rd"),
@@ -473,15 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ledger_flags(p)
 
     p = sub.add_parser(
-        "profile",
-        help="kernel-time breakdown of a polling run (per node, by label)",
-    )
-    _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
-    p.add_argument("--interval", type=int, default=1_000,
-                   help="poll interval (loop iterations)")
-
-    p = sub.add_parser(
         "trace",
         help="run a figure or single point with the observability layer "
         "attached; export Chrome trace JSON + CSV timeline + metrics",
@@ -494,10 +524,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_system(p)
     p.add_argument("--size", type=float, default=100,
                    help="message size (KB; point targets)")
-    p.add_argument("--interval", type=int, default=None,
+    p.add_argument("--interval", type=_non_negative_int, default=None,
                    help="poll/work interval in loop iterations "
                    "(point targets; default: the method's default)")
-    p.add_argument("--ranks", type=_positive_int, default=4,
+    p.add_argument("--ranks", type=_rank_count, default=4,
                    help="rank count (pattern targets; default: 4)")
     p.add_argument("--topology", default="crossbar",
                    choices=("crossbar", "fattree"),
@@ -533,16 +563,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
     return parser
-
-
-def _maybe_sanitizer(check: bool):
-    """A fresh ambient sanitizer when ``check`` is set, else ``None``
-    (``use_sanitizer(None)`` is a no-op)."""
-    if not check:
-        return None
-    from .verify import Sanitizer
-
-    return Sanitizer()
 
 
 def _run_lint(args: argparse.Namespace) -> int:
@@ -600,49 +620,10 @@ def _run_trace(args: argparse.Namespace) -> int:
     observer = Observer(ring_capacity=args.ring_capacity, kernel=args.kernel)
     target = args.target
     executor_stats = None
-    if target == "polling":
-        system = get_system(args.system)
-        with use_observer(observer):
-            run_polling(system, PollingConfig(
-                msg_bytes=int(args.size * 1024),
-                poll_interval_iters=args.interval or 10_000,
-            ))
-        label = f"comb polling {system.name}"
-    elif target == "pww":
-        system = get_system(args.system)
-        with use_observer(observer):
-            run_pww(system, PwwConfig(
-                msg_bytes=int(args.size * 1024),
-                work_interval_iters=(
-                    args.interval if args.interval is not None else 100_000
-                ),
-            ))
-        label = f"comb pww {system.name}"
-    elif target in _PATTERN_ALIASES:
-        from .core.executor import PointTask
-        from .patterns import PatternConfig
-
-        system = get_system(args.system)
-        cfg = PatternConfig(
-            pattern=_PATTERN_ALIASES[target],
-            ranks=args.ranks,
-            msg_bytes=int(args.size * 1024),
-            work_interval_iters=(
-                args.interval if args.interval is not None else 100_000
-            ),
-            topology=args.topology,
-        )
-        # Run as one executor point, as figures do: its point markers let
-        # attribution label the point method="pattern" and apply the
-        # warmup-window filter (see repro.obs.attribution).
-        with SweepExecutor(jobs=1, cache=None) as executor:
-            with use_observer(observer):
-                executor.run([PointTask("pattern", system, cfg)])
-        label = f"comb {target} {system.name} x{cfg.ranks}"
-    elif target in FIGURE_SPECS:
-        # Forced serial + uncached: cached points never simulate (no
-        # events) and pooled points simulate in other processes (events
-        # stranded there) — tracing wants the complete timeline.
+    # Forced serial + uncached: cached points never simulate (no events)
+    # and pooled points simulate in other processes (events stranded
+    # there) — tracing wants the complete timeline.
+    if target in FIGURE_SPECS:
         with SweepExecutor(jobs=1, cache=None,
                            metrics=observer.metrics) as executor:
             with use_observer(observer):
@@ -650,6 +631,17 @@ def _run_trace(args: argparse.Namespace) -> int:
                            executor=executor)
             executor_stats = executor.stats
         label = f"comb {target}"
+    elif target in ("polling", "pww") or target in _PATTERN_ALIASES:
+        # One executor point, as a figure's: its point markers let
+        # attribution label the point and drop its warmup windows (see
+        # repro.obs.attribution).
+        task = _point_task(args, target)
+        with SweepExecutor(jobs=1, cache=None) as executor:
+            with use_observer(observer):
+                executor.run_one(task)
+        label = f"comb {target} {task.system.name}"
+        if task.kind == "pattern":
+            label += f" x{task.cfg.ranks}"
     else:
         print(f"error: unknown trace target {target!r}; expected a figure "
               f"id ({'/'.join(sorted(FIGURE_SPECS))}), 'polling', 'pww', or "
@@ -679,11 +671,26 @@ def _run_trace(args: argparse.Namespace) -> int:
         print(f"error: cannot write trace output under {out_dir}: {exc}",
               file=sys.stderr)
         return 1
+    if target in ("polling", "pww"):
+        _print_kernel_profile(observer.worlds[-1])
     print(observer.summary())
     for path in paths:
         print(f"wrote {path}")
     print(f"open {paths[0]} in about:tracing or https://ui.perfetto.dev")
     return 0
+
+
+def _print_kernel_profile(world) -> None:
+    """Per-node kernel time by handler label, plus user/kernel/idle
+    shares, of a two-node point's world."""
+    for node in world.cluster.nodes:
+        role = "worker" if node.node_id == 0 else "support"
+        print(f"[{role}] {node.cpu.profile_report()}")
+        snap = node.cpu.snapshot()
+        el = node.cpu.elapsed()
+        print(f"  shares: user={snap['user_s'] / el:.3f} "
+              f"kernel={snap['kernel_s'] / el:.3f} "
+              f"idle={snap['idle_s'] / el:.3f}\n")
 
 
 def _write_attribution(events, out_dir, target) -> object:
@@ -764,39 +771,32 @@ def _run_top(args: argparse.Namespace) -> int:
         return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+def _point_task(args: argparse.Namespace, kind: str) -> PointTask:
+    """The point a command line names: ``kind`` is ``polling``, ``pww``,
+    or a pattern (alias) from ``comb pattern`` or ``comb trace``."""
+    pattern = _PATTERN_ALIASES.get(kind)
+    cfg_type, options = _POINT_OPTIONS["pattern" if pattern else kind]
+    given = vars(args)
+    fields = {field: given[dest] for dest, field in options.items()
+              if given.get(dest) is not None}
+    if "grid" in fields:
+        fields["grid"] = tuple(fields["grid"])
+    if pattern:
+        fields["pattern"] = pattern
+    cfg = cfg_type(msg_bytes=int(args.size * 1024), **fields)
+    return PointTask("pattern" if pattern else kind,
+                     get_system(args.system), cfg)
 
-    if args.command == "polling":
-        from .verify.context import use_sanitizer
 
-        sanitizer = _maybe_sanitizer(args.check)
-        with use_sanitizer(sanitizer):
-            pt = run_polling(get_system(args.system), PollingConfig(
-                msg_bytes=int(args.size * 1024),
-                poll_interval_iters=args.interval,
-                queue_depth=args.queue_depth,
-            ))
+def _print_point(pt) -> None:
+    """The point commands' human-readable result."""
+    if isinstance(pt, PollingPoint):
         print(f"{pt.system}: {pt.msg_bytes // 1024} KB, poll interval "
               f"{pt.poll_interval_iters} iters")
         print(f"  availability = {pt.availability:.3f}")
         print(f"  bandwidth    = {pt.bandwidth_MBps:.2f} MB/s")
         print(f"  messages     = {pt.msgs}, interrupts = {pt.interrupts}")
-        if sanitizer is not None:
-            return _report_violations(sanitizer.finalize())
-        return 0
-
-    if args.command == "pww":
-        from .verify.context import use_sanitizer
-
-        sanitizer = _maybe_sanitizer(args.check)
-        with use_sanitizer(sanitizer):
-            pt = run_pww(get_system(args.system), PwwConfig(
-                msg_bytes=int(args.size * 1024),
-                work_interval_iters=args.interval,
-                tests_in_work=args.tests_in_work,
-            ))
+    elif isinstance(pt, PwwPoint):
         print(f"{pt.system}: {pt.msg_bytes // 1024} KB, work interval "
               f"{pt.work_interval_iters} iters")
         print(f"  availability = {pt.availability:.3f}")
@@ -805,30 +805,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"  work  = {pt.work_s * 1e6:8.1f} us/batch "
               f"(dry {pt.work_dry_s * 1e6:.1f} us)")
         print(f"  wait  = {pt.wait_s * 1e6:8.1f} us/batch")
-        if sanitizer is not None:
-            return _report_violations(sanitizer.finalize())
-        return 0
-
-    if args.command == "pattern":
-        from .patterns import PatternConfig, run_pattern
-        from .verify.context import use_sanitizer
-
-        sanitizer = _maybe_sanitizer(args.check)
-        cfg = PatternConfig(
-            pattern=_PATTERN_ALIASES[args.pattern],
-            ranks=args.ranks,
-            msg_bytes=int(args.size * 1024),
-            work_interval_iters=args.interval,
-            iterations=args.iterations,
-            warmup_iterations=args.warmup,
-            topology=args.topology,
-            arity=args.arity,
-            ghost_width=args.ghost_width,
-            algorithm=args.algorithm,
-            grid=tuple(args.grid) if args.grid else (),
-        )
-        with use_sanitizer(sanitizer):
-            pt = run_pattern(get_system(args.system), cfg)
+    else:
         algo = f" [{pt.algorithm}]" if pt.algorithm else ""
         print(f"{pt.system}: {pt.pattern}{algo}, {pt.ranks} ranks on "
               f"{pt.topology}, {pt.msg_bytes // 1024} KB, work interval "
@@ -840,8 +817,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("  per-rank availability:")
         for rank, avail in enumerate(pt.availability_per_rank):
             print(f"    rank {rank:>3d}: {avail:.3f}")
-        if sanitizer is not None:
-            return _report_violations(sanitizer.finalize())
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "trace" and args.target == "polling" \
+            and args.interval == 0:
+        parser.error("argument --interval: must be >= 1, got 0")
+    try:
+        code = _run_command(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``comb history | head -1``).  Point
+        # stdout at devnull so the interpreter's exit flush cannot raise
+        # again, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run_command(args: argparse.Namespace) -> int:
+    """Run one parsed subcommand; returns its exit code."""
+    if args.command in _POINT_OPTIONS:
+        kind = args.pattern if args.command == "pattern" else args.command
+        with SweepExecutor(jobs=1, cache=None, check=args.check) as executor:
+            _print_point(executor.run_one(_point_task(args, kind)))
+        if args.check:
+            return _report_violations(executor.violations)
         return 0
 
     if args.command == "offload":
@@ -918,7 +923,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         import uuid as _uuid
         from pathlib import Path as _Path
 
-        from .scenario import format_scenario_results, run_scenario
+        from .scenario import (ScenarioError, format_scenario_results,
+                               run_scenario)
 
         ledger = None
         if not args.no_ledger:
@@ -934,6 +940,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 1
         try:
             results = run_scenario(args.spec, ledger=ledger)
+        except (OSError, _json.JSONDecodeError, ScenarioError) as exc:
+            print(f"error: scenario {args.spec}: {exc}", file=sys.stderr)
+            return 2
         finally:
             if ledger is not None:
                 ledger.close()
@@ -941,35 +950,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.out:
             _Path(args.out).write_text(_json.dumps(results, indent=2))
             print(f"\nwrote {args.out}")
-        return 0
-
-    if args.command == "profile":
-        import repro.core.polling as polling
-        from .mpi import build_world
-
-        system = get_system(args.system)
-        cfg = PollingConfig(
-            msg_bytes=int(args.size * 1024),
-            poll_interval_iters=args.interval, measure_s=0.03,
-        )
-        world = build_world(system)
-        state = polling._WorkerState()
-        worker = world.engine.spawn(
-            polling._worker(world, cfg, state), name="worker"
-        )
-        world.engine.spawn(polling._support(world, cfg), name="support")
-        world.engine.run(worker)
-        pt = state.result
-        print(f"{pt.system}: bw={pt.bandwidth_MBps:.2f} MB/s, "
-              f"availability={pt.availability:.3f}\n")
-        for node in world.cluster.nodes:
-            role = "worker" if node.node_id == 0 else "support"
-            print(f"[{role}] {node.cpu.profile_report()}")
-            snap = node.cpu.snapshot()
-            el = node.cpu.elapsed()
-            print(f"  shares: user={snap['user_s'] / el:.3f} "
-                  f"kernel={snap['kernel_s'] / el:.3f} "
-                  f"idle={snap['idle_s'] / el:.3f}\n")
         return 0
 
     if args.command == "lint":

@@ -399,9 +399,10 @@ def attribute_events(events: Sequence[ObsEvent]) -> List[PointAttribution]:
 
     The stream is segmented at the executor's point markers (each marker
     names the method, system, message size, interval, and warmup window
-    count); a marker-free stream — e.g. ``comb trace pww`` driving one
-    point directly — is treated as a single point whose method is
-    inferred from the phase events present.
+    count); a marker-free stream — e.g. ``run_pww`` called directly
+    under an observer, outside any executor — is treated as a single
+    point whose method is inferred from the phase events present, with
+    every window (warmup included) decomposed.
     """
     out: List[PointAttribution] = []
     for meta, point_events in _split_points(events):

@@ -34,8 +34,9 @@ for the point-producing kinds (polling/pww/pattern)::
 Each point then runs as up to ``reps`` sub-runs on named RNG substreams
 (optionally stopping early once the availability CI is at most
 ``ci_width`` wide) and its result dict carries a ``replication``
-summary.  Without the key — or with ``reps: 1`` — the scenario takes
-the direct single-shot path, bit-identical to earlier releases.
+summary.  Without the key — or with ``reps: 1`` — each point is one
+single-shot run.  Either way every point runs through one
+:class:`~repro.core.executor.SweepExecutor`, as a figure's points do.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Union
 
 from .baselines import run_netperf, run_pingpong
 from .config import PRESETS, SystemConfig, get_system
-from .core import CombSuite, PollingConfig, PwwConfig, run_polling, run_pww
+from .core import CombSuite, PollingConfig, PwwConfig
 from .core.executor import PointTask, SweepExecutor
-from .patterns import PatternConfig, run_pattern
+from .patterns import PatternConfig
 
 KB = 1024
 
@@ -110,19 +111,13 @@ def _replace_path(obj, parts: List[str], value):
 
 
 def _run_experiment(
-    system: SystemConfig,
-    spec: Dict[str, Any],
-    executor: Optional[SweepExecutor] = None,
+    system: SystemConfig, spec: Dict[str, Any], executor: SweepExecutor
 ) -> Dict:
     kind = spec.get("kind")
     msg_bytes = int(spec.get("msg_kb", 100) * KB)
     cfg_extra = dict(spec.get("config", {}))
 
-    def run_point(point_kind: str, cfg, direct) -> Dict:
-        # The direct path (no replication requested) is kept verbatim:
-        # its results are bit-identical to pre-replication scenarios.
-        if executor is None:
-            return direct(system, cfg).to_dict()
+    def run_point(point_kind: str, cfg) -> Dict:
         return executor.run_one(PointTask(point_kind, system, cfg)).to_dict()
 
     if kind == "polling":
@@ -132,7 +127,7 @@ def _run_experiment(
                 msg_bytes=msg_bytes, poll_interval_iters=int(interval_iters),
                 **cfg_extra,
             )
-            points.append(run_point("polling", cfg, run_polling))
+            points.append(run_point("polling", cfg))
         return {"kind": kind, "points": points}
     if kind == "pww":
         points = []
@@ -141,7 +136,7 @@ def _run_experiment(
                 msg_bytes=msg_bytes, work_interval_iters=int(interval_iters),
                 **cfg_extra,
             )
-            points.append(run_point("pww", cfg, run_pww))
+            points.append(run_point("pww", cfg))
         return {"kind": kind, "points": points}
     if kind == "offload":
         verdict = CombSuite(system).offload_verdict(msg_bytes=msg_bytes)
@@ -180,18 +175,17 @@ def _run_experiment(
                 topology=spec.get("topology", "crossbar"),
                 **cfg_extra,
             )
-            points.append(run_point("pattern", cfg, run_pattern))
+            points.append(run_point("pattern", cfg))
         return {"kind": kind, "points": points}
     raise ScenarioError(f"unknown experiment kind {kind!r}")
 
 
-def _replication_executor(
-    spec: Dict[str, Any], point_log: bool = False
-) -> Optional[SweepExecutor]:
-    """Executor for the scenario's ``replication`` request (or ``None``)."""
+def _executor(spec: Dict[str, Any], point_log: bool) -> SweepExecutor:
+    """The executor for the scenario's points, replicated as its
+    ``replication`` request (if any) asks."""
     rep_spec = spec.get("replication")
     if rep_spec is None:
-        return None
+        rep_spec = {}
     if not isinstance(rep_spec, dict):
         raise ScenarioError("'replication' must be an object")
     try:
@@ -203,19 +197,17 @@ def _replication_executor(
     ci_width = rep_spec.get("ci_width")
     if ci_width is not None:
         ci_width = float(ci_width)
-    if reps == 1:
-        return None  # single-shot: keep the bit-identical direct path
     return SweepExecutor(reps=reps, ci_width=ci_width, point_log=point_log)
 
 
 def run_scenario(spec: Union[Dict, str, Path], ledger: Any = None) -> Dict:
     """Execute a scenario; returns the result document (JSON-ready).
 
-    ``ledger`` is an open :class:`~repro.obs.ledger.RunLedger`: replicated
-    scenarios (the executor-driven path) append per-point outcome records
-    and every scenario appends a closing run record.  Single-shot
-    scenarios keep the bit-identical direct path — the ledger then only
-    carries the run summary.
+    ``ledger`` is an open :class:`~repro.obs.ledger.RunLedger`: the
+    scenario appends one outcome record per point and a closing run
+    record.  Every point runs through one
+    :class:`~repro.core.executor.SweepExecutor`; the document carries a
+    ``replication`` key only when the spec asks for ``reps > 1``.
     """
     import time as _time
 
@@ -224,29 +216,30 @@ def run_scenario(spec: Union[Dict, str, Path], ledger: Any = None) -> Dict:
     if "systems" not in spec or "experiments" not in spec:
         raise ScenarioError("scenario needs 'systems' and 'experiments'")
     t0_wall = _time.perf_counter() if ledger is not None else 0.0
-    executor = _replication_executor(spec, point_log=ledger is not None)
     results: Dict[str, Any] = {
         "name": spec.get("name", "scenario"),
         "systems": [],
     }
-    if executor is not None:
-        results["replication"] = {
-            "reps": executor.reps,
-            "ci_width": executor.ci_width,
-        }
-    for sys_spec in spec["systems"]:
-        system = resolve_preset(sys_spec["preset"])
-        overrides = sys_spec.get("overrides", {})
-        if overrides:
-            system = apply_overrides(system, overrides)
-        label = sys_spec.get("label", system.name)
-        entry = {"label": label, "preset": sys_spec["preset"],
-                 "experiments": []}
-        for exp in spec["experiments"]:
-            entry["experiments"].append(_run_experiment(system, exp,
-                                                        executor=executor))
-        results["systems"].append(entry)
-    if executor is not None and executor.disagreements:
+    with _executor(spec, point_log=ledger is not None) as executor:
+        if executor.reps > 1:
+            results["replication"] = {
+                "reps": executor.reps,
+                "ci_width": executor.ci_width,
+            }
+        for sys_spec in spec["systems"]:
+            system = resolve_preset(sys_spec["preset"])
+            overrides = sys_spec.get("overrides", {})
+            if overrides:
+                system = apply_overrides(system, overrides)
+            label = sys_spec.get("label", system.name)
+            entry = {"label": label, "preset": sys_spec["preset"],
+                     "experiments": []}
+            for exp in spec["experiments"]:
+                entry["experiments"].append(
+                    _run_experiment(system, exp, executor)
+                )
+            results["systems"].append(entry)
+    if executor.disagreements:
         results["disagreements"] = [
             d.detail for d in executor.disagreements
         ]
@@ -255,16 +248,15 @@ def run_scenario(spec: Union[Dict, str, Path], ledger: Any = None) -> Dict:
 
         from . import compiled
 
-        if executor is not None:
-            ledger.record_points(executor.point_records)
+        ledger.record_points(executor.point_records)
         ledger.record_run(
             wall_s=round(_time.perf_counter() - t0_wall, 4),
             timestamp=datetime.now(timezone.utc).isoformat(
                 timespec="seconds"
             ),
             compiled=compiled.active(),
-            reps=executor.reps if executor is not None else 1,
-            cache=executor.stats.to_dict() if executor is not None else {},
+            reps=executor.reps,
+            cache=executor.stats.to_dict(),
         )
     return results
 

@@ -119,6 +119,38 @@ class TestTraceCommand:
         counters = metrics["metrics"]["counters"]
         assert counters.get("sim.poll.hits", 0) > 0
 
+    def test_trace_pww_attribution_is_the_measured_wait(self, capsys,
+                                                         tmp_path):
+        """A traced point carries point markers, so its attribution covers
+        exactly the measured batches (warmup dropped) and names its
+        system."""
+        from repro.config import gm_system
+        from repro.core import PwwConfig, run_pww
+
+        rc = main(["trace", "pww", "--system", "GM", "--size", "32",
+                   "--interval", "10000", "--attribution",
+                   "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        doc = json.loads((tmp_path / "pww.attribution.json").read_text())
+        (point,) = doc["points"]
+        cfg = PwwConfig(msg_bytes=32 * 1024, work_interval_iters=10_000)
+        measured = run_pww(gm_system(), cfg)
+        assert point["system"] == "GM"
+        assert point["windows"] == cfg.batches
+        assert point["total_s"] == pytest.approx(
+            measured.wait_s * cfg.batches, rel=0, abs=1e-12)
+
+    def test_trace_polling_prints_kernel_profile(self, capsys, tmp_path):
+        rc = main(["trace", "polling", "--system", "Portals",
+                   "--interval", "1000", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.startswith("[worker] node0.cpu0: kernel ")
+        assert "[support] node1.cpu0: kernel " in out
+        assert out.count("  portals_rx ") == 2
+        assert out.count("  shares: user=") == 2
+
     def test_trace_figure(self, capsys, tmp_path):
         rc = main(["trace", "fig13", "--out", str(tmp_path)])
         capsys.readouterr()
@@ -155,3 +187,44 @@ class TestParsing:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["polling", "--interval", "0"],
+        ["polling", "--queue-depth", "0"],
+        ["pww", "--interval", "-1"],
+        ["pattern", "halo", "--warmup", "-1"],
+        ["pattern", "halo", "--ghost-width", "0"],
+        ["pattern", "halo", "--ranks", "1"],
+        ["trace", "halo", "--ranks", "1"],
+        ["trace", "polling", "--interval", "0"],
+        ["trace", "pww", "--interval", "-1"],
+    ], ids=" ".join)
+    def test_out_of_range_point_option_is_argument_error(self, argv,
+                                                          capsys):
+        """A value the point's config would reject fails in the parser:
+        exit 2 and a usage message, not a ``ValueError`` traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --" in err and "must be >= " in err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """``comb compare | head -1``: a reader that hangs up early ends the
+    command quietly with exit 1."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "repro.cli", "compare"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()  # hang up before the first write
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -130,3 +130,48 @@ class TestRunScenario:
         assert rc == 0
         assert out_path.exists()
         assert "cli" in capsys.readouterr().out
+
+
+class TestCliScenarioErrors:
+    @pytest.mark.parametrize("content", [
+        None,  # no such file
+        "{not json",
+        json.dumps({"systems": [{"preset": "Bogus"}],
+                    "experiments": []}),
+    ], ids=["missing-file", "bad-json", "unknown-preset"])
+    def test_bad_spec_is_one_error_line(self, content, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = tmp_path / "spec.json"
+        if content is not None:
+            spec.write_text(content)
+        rc = main(["scenario", str(spec), "--no-ledger"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_single_shot_ledger_gets_point_records(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.ledger import ledger_path, read_records
+
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({
+            "name": "t",
+            "systems": [{"preset": "GM"}],
+            "experiments": [{"kind": "polling", "msg_kb": 10,
+                             "intervals": [1000, 2000],
+                             "config": {"measure_s": 0.002,
+                                        "warmup_s": 0.0005,
+                                        "min_cycles": 2}}],
+        }))
+        assert main(["scenario", str(spec), "--ledger-dir",
+                     str(tmp_path / "ledger")]) == 0
+        capsys.readouterr()
+        records, _ = read_records(ledger_path(tmp_path / "ledger"))
+        points = [r for r in records if r["rec"] == "point"]
+        assert [p["kind"] for p in points] == ["polling", "polling"]
+        (run,) = [r for r in records if r["rec"] == "run"]
+        assert run["reps"] == 1
+        assert run["cache"]["misses"] == 2
