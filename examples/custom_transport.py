@@ -3,9 +3,11 @@
 
 Defines a hypothetical "per-message interrupt" Portals variant — the NIC
 coalesces a whole message and raises a single interrupt for it — and runs
-the unmodified COMB polling method against stock Portals.  This is the
-extension point the suite offers for evaluating new NIC/driver designs
-before building them.
+the unmodified COMB polling method against stock Portals.  The system
+names its device class in ``SystemConfig.device`` (``"module:Class"``),
+so every world built for it, in this process or a pool worker, uses that
+device.  This is the extension point the suite offers for evaluating new
+NIC/driver designs before building them.
 
 Usage::
 
@@ -16,9 +18,7 @@ import dataclasses
 
 from repro import PollingConfig, portals_system
 from repro.core.polling import run_polling
-from repro.ext import build_custom_world
 from repro.hardware.memory import copy_time
-from repro.mpi.world import register_device
 from repro.transport.packets import PacketKind
 from repro.transport.portals import PortalsDevice
 
@@ -74,8 +74,10 @@ class MessageInterruptDevice(PortalsDevice):
 
 def main() -> None:
     base = portals_system()
-    custom = dataclasses.replace(base, name="Portals/msg-irq")
-    register_device(custom.name, MessageInterruptDevice)
+    custom = dataclasses.replace(
+        base, name="Portals/msg-irq",
+        device=f"{__name__}:MessageInterruptDevice",
+    )
 
     cfg = PollingConfig(msg_bytes=100 * KB, poll_interval_iters=1_000,
                         measure_s=0.05)

@@ -258,6 +258,10 @@ class SystemConfig:
     gm: GmParams = field(default_factory=GmParams)
     portals: PortalsParams = field(default_factory=PortalsParams)
     tcp: TcpParams = field(default_factory=TcpParams)
+    #: Device class as ``"module:Class"``; empty means the stock device
+    #: for ``transport``.  Part of the config, so it reaches pool workers
+    #: and cache keys; ``name`` is only a label.
+    device: str = ""
     #: Root seed for all stochastic sub-models (jitter, loss injection).
     seed: int = 0
     #: Number of CPUs per node (1 in the paper; >1 exercises §7 future work).

@@ -1,19 +1,15 @@
-"""Extensions beyond the paper: SMP nodes (§7) and what-if systems."""
+"""Extensions beyond the paper: SMP nodes (§7) and what-if systems.
 
-from .emp import EmpDevice, emp_system
+The what-if presets select their devices (defined in
+:mod:`repro.transport.offload`) through ``SystemConfig.device``.
+"""
+
+from .emp import emp_system
 from .smp import SmpAvailability, run_smp_polling, smp_system
-from .whatif import (
-    OffloadNicDevice,
-    build_custom_world,
-    coalesced_portals,
-    offload_nic_system,
-)
+from .whatif import coalesced_portals, offload_nic_system
 
 __all__ = [
-    "EmpDevice",
-    "OffloadNicDevice",
     "SmpAvailability",
-    "build_custom_world",
     "coalesced_portals",
     "emp_system",
     "offload_nic_system",

@@ -16,8 +16,8 @@ This preset models that class of system so COMB can be pointed at it:
 * cheap user-level posts (descriptor writes, like GM) with completion
   flags raised by the NIC (offloaded, like Portals).
 
-Mechanically it reuses :class:`OffloadNicDevice` (NIC-driven Portals
-semantics) over an Ethernet-parameterized machine.
+Mechanically it runs :class:`~repro.transport.offload.EmpDevice`
+(NIC-driven Portals semantics) over an Ethernet-parameterized machine.
 """
 
 from __future__ import annotations
@@ -31,21 +31,11 @@ from ..config import (
     SystemConfig,
     portals_system,
 )
-from ..mpi.world import register_device
 from ..sim.units import mbps, usec
-from .whatif import OffloadNicDevice
-
-
-class EmpDevice(OffloadNicDevice):
-    """Alteon-class NIC engine: firmware processing per 1500-byte frame."""
-
-    #: Firmware dispatch per received frame (the Alteon's MIPS cores were
-    #: the published EMP bottleneck at small frames).
-    NIC_RX_LATENCY_S = usec(3.0)
 
 
 def emp_system(**overrides) -> SystemConfig:
-    """The EMP-on-Gigabit-Ethernet preset (registered as ``EMP``)."""
+    """The EMP-on-Gigabit-Ethernet preset (``EMP``)."""
     base = portals_system()
     nic = NicConfig(
         mtu_bytes=1500,
@@ -69,7 +59,6 @@ def emp_system(**overrides) -> SystemConfig:
     )
     system = dataclasses.replace(
         base, name="EMP", machine=machine, portals=params,
+        device="repro.transport.offload:EmpDevice",
     )
-    system = system.replaced(**overrides) if overrides else system
-    register_device(system.name, EmpDevice)
-    return system
+    return system.replaced(**overrides) if overrides else system

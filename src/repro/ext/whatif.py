@@ -3,30 +3,22 @@
 These exercise the simulator beyond the paper's two measured systems:
 
 * :func:`coalesced_portals` — Portals with NIC interrupt mitigation;
-* :class:`OffloadNicDevice` / :func:`offload_nic_system` — an idealized
-  NIC that performs matching and delivery with *no* host interrupts (the
-  direction Quadrics/Elan and later RDMA NICs took): full application
-  offload *and* GM-class CPU availability;
-* :func:`build_custom_world` — a world builder accepting any device class,
-  the extension hook custom transports plug into.
+* :func:`offload_nic_system` — an idealized NIC that performs matching
+  and delivery with *no* host interrupts
+  (:class:`~repro.transport.offload.OffloadNicDevice`): full application
+  offload *and* GM-class CPU availability.
+
+A custom transport plugs in the same way: name its device class in
+``SystemConfig.device`` and build the world with
+:func:`repro.mpi.world.build_world`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Type
 
-from ..config import InterruptConfig, SystemConfig, portals_system
-from ..hardware.cluster import Cluster
-from ..hardware.memory import copy_time
-from ..mpi.api import Endpoint
-from ..mpi.world import World, register_device
-from ..sim.engine import Engine
-from ..sim.events import Event
+from ..config import SystemConfig, portals_system
 from ..sim.units import usec
-from ..transport.base import Device
-from ..transport.packets import Packet, PacketKind
-from ..transport.portals import PortalsDevice
 
 
 def coalesced_portals(window_s: float = usec(40)) -> SystemConfig:
@@ -39,47 +31,11 @@ def coalesced_portals(window_s: float = usec(40)) -> SystemConfig:
     return dataclasses.replace(base, name="Portals+coalesce", machine=machine)
 
 
-class OffloadNicDevice(PortalsDevice):
-    """An idealized offload NIC: kernel-Portals semantics, zero interrupts.
-
-    Matching, reassembly and delivery run on the NIC; received data is
-    DMA'd straight to user buffers (the host-bus transfer is already paid
-    in the NIC receive path), so the host CPU is never involved in data
-    motion.  Posting still traps (cheaply) to pin buffers.
-    """
-
-    #: NIC-side processing latency per data packet (no host CPU).
-    NIC_RX_LATENCY_S = usec(1.0)
-
-    def nic_rx(self, pkt: Packet) -> None:
-        if pkt.kind is PacketKind.DATA:
-            self.engine.schedule_callback(
-                self.NIC_RX_LATENCY_S, lambda p=pkt: self._rx_commit(p)
-            )
-        elif pkt.kind is PacketKind.RTS:
-            self.engine.schedule_callback(
-                self.NIC_RX_LATENCY_S, lambda p=pkt: self._rts_commit(p)
-            )
-        elif pkt.kind is PacketKind.CTS:
-            self.engine.schedule_callback(
-                self.NIC_RX_LATENCY_S, lambda p=pkt: self._get_commit(p)
-            )
-        elif pkt.kind is PacketKind.ACK:
-            self.engine.schedule_callback(
-                self.NIC_RX_LATENCY_S,
-                lambda p=pkt: self._on_ack(p.src, p.meta["cum"]),
-            )
-
-    def _tx_admit(self, pkt: Packet) -> Optional[Event]:
-        """NIC-side transmit: no kernel work per packet."""
-        return None
-
-
 def offload_nic_system() -> SystemConfig:
     """Parameters for the idealized offload NIC (cheap traps, no copies).
 
-    Registered with the world builder, so the standard ``run_polling`` /
-    ``run_pww`` drivers work on it directly.
+    The device rides in the config, so the standard ``run_polling`` /
+    ``run_pww`` drivers (and pool workers) build it directly.
     """
     base = portals_system()
     portals = dataclasses.replace(
@@ -88,32 +44,7 @@ def offload_nic_system() -> SystemConfig:
         irecv_trap_s=usec(4.0),
         tx_window_pkts=8,
     )
-    system = dataclasses.replace(base, name="OffloadNIC", portals=portals)
-    register_device(system.name, OffloadNicDevice)
-    return system
-
-
-def build_custom_world(
-    system: SystemConfig,
-    device_cls: Type[Device],
-    n_nodes: int = 2,
-    tracer=None,
-) -> World:
-    """Like :func:`repro.mpi.world.build_world` but with any device class.
-
-    This is the supported way to plug a custom transport into COMB: write a
-    :class:`~repro.transport.base.Device` subclass, build a world with it,
-    and run the unmodified benchmark methods on top.
-    """
-    engine = Engine(trace=tracer)
-    cluster = Cluster(engine, system, n_nodes=n_nodes)
-    devices: List[Device] = [
-        device_cls(engine, cluster[i], i, system) for i in range(n_nodes)
-    ]
-    routes: Dict[int, int] = {rank: rank for rank in range(n_nodes)}
-    for dev in devices:
-        dev.routes = dict(routes)
-    endpoints = [
-        Endpoint(engine, dev, rank, n_nodes) for rank, dev in enumerate(devices)
-    ]
-    return World(engine, system, cluster, endpoints)
+    return dataclasses.replace(
+        base, name="OffloadNIC", portals=portals,
+        device="repro.transport.offload:OffloadNicDevice",
+    )

@@ -15,6 +15,7 @@ first, through its ``record_queue`` method.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -43,25 +44,16 @@ WATCHED_QUEUES: Tuple[Tuple[str, str], ...] = (
     ("k_unexpected", "q_unex_"),
 )
 
-#: Custom device classes keyed by ``SystemConfig.name`` — lets extensions
-#: (e.g. :mod:`repro.ext.whatif`) run the unmodified benchmark drivers on
-#: transports beyond the built-in three.
-CUSTOM_DEVICES: dict = {}
-
-
-def register_device(system_name: str, device_cls) -> None:
-    """Route worlds built for ``system_name`` to ``device_cls``."""
-    CUSTOM_DEVICES[system_name] = device_cls
-
 
 def make_device(engine: Engine, node, rank: int, system: SystemConfig) -> Device:
-    """Instantiate the device class for ``system`` (custom name wins)."""
-    cls = CUSTOM_DEVICES.get(system.name)
-    if cls is None:
-        try:
-            cls = _DEVICE_CLASSES[system.transport]
-        except KeyError:  # pragma: no cover - enum covers all kinds
-            raise ValueError(f"unknown transport {system.transport}") from None
+    """Instantiate ``system``'s device: the ``system.device`` class when
+    set, else the stock device for ``system.transport``."""
+    if not system.device:
+        return _DEVICE_CLASSES[system.transport](engine, node, rank, system)
+    module, _, name = system.device.partition(":")
+    if not name:
+        raise ValueError(f"device {system.device!r} is not 'module:Class'")
+    cls = getattr(importlib.import_module(module), name)
     return cls(engine, node, rank, system)
 
 

@@ -110,12 +110,28 @@ def _replace_path(obj, parts: List[str], value):
     return dataclasses.replace(obj, **{field: child})
 
 
+def _number(value: Any, what: str) -> Union[int, float]:
+    """``value`` if it is a JSON number, else a :class:`ScenarioError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return value
+
+
+def _config(cls: type, extra: Dict[str, Any], **fields: Any) -> Any:
+    """``cls(**fields, **extra)``; a bad ``config`` object, or an unknown,
+    repeated or invalid field, is a :class:`ScenarioError`."""
+    try:
+        return cls(**fields, **extra)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{cls.__name__}: {exc}") from None
+
+
 def _run_experiment(
     system: SystemConfig, spec: Dict[str, Any], executor: SweepExecutor
 ) -> Dict:
     kind = spec.get("kind")
-    msg_bytes = int(spec.get("msg_kb", 100) * KB)
-    cfg_extra = dict(spec.get("config", {}))
+    msg_bytes = int(_number(spec.get("msg_kb", 100), "'msg_kb'") * KB)
+    cfg_extra = spec.get("config", {})
 
     def run_point(point_kind: str, cfg) -> Dict:
         return executor.run_one(PointTask(point_kind, system, cfg)).to_dict()
@@ -123,18 +139,18 @@ def _run_experiment(
     if kind == "polling":
         points = []
         for interval_iters in spec.get("intervals", [10_000]):
-            cfg = PollingConfig(
-                msg_bytes=msg_bytes, poll_interval_iters=int(interval_iters),
-                **cfg_extra,
+            cfg = _config(
+                PollingConfig, cfg_extra, msg_bytes=msg_bytes,
+                poll_interval_iters=int(_number(interval_iters, "interval")),
             )
             points.append(run_point("polling", cfg))
         return {"kind": kind, "points": points}
     if kind == "pww":
         points = []
         for interval_iters in spec.get("intervals", [100_000]):
-            cfg = PwwConfig(
-                msg_bytes=msg_bytes, work_interval_iters=int(interval_iters),
-                **cfg_extra,
+            cfg = _config(
+                PwwConfig, cfg_extra, msg_bytes=msg_bytes,
+                work_interval_iters=int(_number(interval_iters, "interval")),
             )
             points.append(run_point("pww", cfg))
         return {"kind": kind, "points": points}
@@ -158,7 +174,7 @@ def _run_experiment(
     if kind == "pingpong":
         results = []
         for size_kb in spec.get("sizes_kb", [100]):
-            r = run_pingpong(system, int(size_kb * KB))
+            r = run_pingpong(system, int(_number(size_kb, "size") * KB))
             results.append({
                 "msg_bytes": r.msg_bytes,
                 "latency_s": r.latency_s,
@@ -168,12 +184,12 @@ def _run_experiment(
     if kind == "pattern":
         points = []
         for ranks in spec.get("rank_counts", [4]):
-            cfg = PatternConfig(
+            cfg = _config(
+                PatternConfig, cfg_extra,
                 pattern=spec.get("pattern", "halo2d"),
-                ranks=int(ranks),
+                ranks=int(_number(ranks, "rank count")),
                 msg_bytes=msg_bytes,
                 topology=spec.get("topology", "crossbar"),
-                **cfg_extra,
             )
             points.append(run_point("pattern", cfg))
         return {"kind": kind, "points": points}
@@ -196,7 +212,7 @@ def _executor(spec: Dict[str, Any], point_log: bool) -> SweepExecutor:
         raise ScenarioError(f"replication 'reps' must be >= 1, got {reps}")
     ci_width = rep_spec.get("ci_width")
     if ci_width is not None:
-        ci_width = float(ci_width)
+        ci_width = float(_number(ci_width, "replication 'ci_width'"))
     return SweepExecutor(reps=reps, ci_width=ci_width, point_log=point_log)
 
 
@@ -227,6 +243,8 @@ def run_scenario(spec: Union[Dict, str, Path], ledger: Any = None) -> Dict:
                 "ci_width": executor.ci_width,
             }
         for sys_spec in spec["systems"]:
+            if not isinstance(sys_spec, dict) or "preset" not in sys_spec:
+                raise ScenarioError("each 'systems' entry needs a 'preset'")
             system = resolve_preset(sys_spec["preset"])
             overrides = sys_spec.get("overrides", {})
             if overrides:

@@ -1,4 +1,5 @@
-"""Transport devices: GM (OS-bypass), Portals (kernel, offloaded), TCP.
+"""Transport devices: GM (OS-bypass), Portals (kernel, offloaded), TCP,
+and the NIC-driven offload/EMP devices the what-if presets select.
 
 Device classes are imported lazily: the hardware layer imports
 ``repro.transport.packets`` at module load, and eager imports here would
@@ -17,8 +18,10 @@ from .packets import (
 __all__ = [
     "Device",
     "DeviceStats",
+    "EmpDevice",
     "Envelope",
     "GmDevice",
+    "OffloadNicDevice",
     "Packet",
     "PacketKind",
     "PortalsDevice",
@@ -32,7 +35,9 @@ __all__ = [
 _LAZY = {
     "Device": ".base",
     "DeviceStats": ".base",
+    "EmpDevice": ".offload",
     "GmDevice": ".gm",
+    "OffloadNicDevice": ".offload",
     "PortalsDevice": ".portals",
     "TcpDevice": ".portals",
     "TX_WINDOW_PKTS": ".portals",

@@ -2,16 +2,27 @@
 
 import pytest
 
-from repro.config import portals_system, gm_system
-from repro.core import PollingConfig, PwwConfig, run_polling, run_pww
+from repro.config import PRESETS, portals_system, gm_system
+from repro.core import (
+    PointTask,
+    PollingConfig,
+    PwwConfig,
+    SweepExecutor,
+    run_polling,
+    run_pww,
+    task_key,
+)
+from repro.core.executor import _SALT_SOURCES
 from repro.ext import (
-    build_custom_world,
     coalesced_portals,
+    emp_system,
     offload_nic_system,
     run_smp_polling,
     smp_system,
 )
-from repro.transport.portals import PortalsDevice
+from repro.mpi import build_world
+from repro.scenario import _ext_presets
+from repro.transport.offload import OffloadNicDevice
 
 KB = 1024
 
@@ -106,6 +117,65 @@ class TestOffloadNic:
         assert abs(pww.overhead_s) < 5e-5  # and interrupt-free
 
     def test_custom_world_builder(self):
-        world = build_custom_world(portals_system(), PortalsDevice)
+        world = build_world(portals_system(
+            device="repro.transport.offload:OffloadNicDevice"))
         assert world.size == 2
-        assert isinstance(world.endpoint(0).device, PortalsDevice)
+        assert isinstance(world.endpoint(0).device, OffloadNicDevice)
+
+    def test_malformed_device_path_rejected(self):
+        with pytest.raises(ValueError, match="module:Class"):
+            build_world(portals_system(device="repro.transport.offload"))
+
+
+# --------------------------------------------------- the device is config
+#: Polling points on the custom-device presets (100 KB, two intervals).
+DEVICE_TASKS = [
+    PointTask("polling", system, PollingConfig(
+        msg_bytes=100 * KB, poll_interval_iters=interval, **FAST))
+    for system in (offload_nic_system(), emp_system())
+    for interval in (1_000, 100_000)
+]
+
+
+@pytest.fixture(scope="module")
+def pooled_cache(tmp_path_factory):
+    """Serial points, and the points a two-worker pool stored in a fresh
+    cache.  The workers never call a preset: the device arrives with the
+    pickled config."""
+    cache_dir = tmp_path_factory.mktemp("device-cache")
+    with SweepExecutor(jobs=1) as serial:
+        serial_points = serial.run(DEVICE_TASKS)
+    with SweepExecutor(jobs=2, cache=cache_dir) as pooled:
+        pooled_points = pooled.run(DEVICE_TASKS)
+    return serial_points, pooled_points, cache_dir
+
+
+class TestDeviceInConfig:
+    def test_pool_workers_build_the_configured_device(self, pooled_cache):
+        serial_points, pooled_points, _ = pooled_cache
+        assert pooled_points == serial_points
+        assert all(pt.interrupts == 0 for pt in pooled_points)
+
+    def test_pool_filled_cache_reads_back_serial_values(self, pooled_cache):
+        serial_points, _, cache_dir = pooled_cache
+        with SweepExecutor(jobs=1, cache=cache_dir) as reader:
+            assert reader.run(DEVICE_TASKS) == serial_points
+            assert reader.stats.hits == len(DEVICE_TASKS)
+
+    def test_device_is_part_of_the_cache_key(self):
+        cfg = PollingConfig()
+        stock = portals_system()
+        offload = portals_system(
+            device="repro.transport.offload:OffloadNicDevice")
+        assert (task_key(PointTask("polling", stock, cfg))
+                != task_key(PointTask("polling", offload, cfg)))
+
+    @pytest.mark.parametrize(
+        "preset", sorted(PRESETS) + sorted(_ext_presets()))
+    def test_device_source_is_salted(self, preset):
+        """Every preset's device lives in a module the cache salt hashes,
+        so editing a device invalidates its cached points."""
+        factory = PRESETS.get(preset) or _ext_presets()[preset]
+        for endpoint in build_world(factory()).endpoints:
+            module = type(endpoint.device).__module__.split(".")
+            assert module[0] == "repro" and module[1] in _SALT_SOURCES, module

@@ -138,7 +138,17 @@ class TestCliScenarioErrors:
         "{not json",
         json.dumps({"systems": [{"preset": "Bogus"}],
                     "experiments": []}),
-    ], ids=["missing-file", "bad-json", "unknown-preset"])
+        json.dumps({"systems": [{"preset": "GM"}],
+                    "experiments": [{"kind": "polling",
+                                     "config": {"bogus": 1}}]}),
+        json.dumps({"systems": [{"label": "GM"}], "experiments": []}),
+        json.dumps({"replication": {"ci_width": "abc"},
+                    "systems": [{"preset": "GM"}], "experiments": []}),
+        json.dumps({"systems": [{"preset": "GM"}],
+                    "experiments": [{"kind": "polling", "msg_kb": "big"}]}),
+    ], ids=["missing-file", "bad-json", "unknown-preset", "unknown-config-key",
+            "system-without-preset", "non-numeric-ci-width",
+            "non-numeric-msg-kb"])
     def test_bad_spec_is_one_error_line(self, content, tmp_path, capsys):
         from repro.cli import main
 

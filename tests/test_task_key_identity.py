@@ -170,6 +170,7 @@ SYSTEMS = st.builds(
     gm=_numbers_config(GmParams),
     portals=_numbers_config(PortalsParams),
     tcp=_numbers_config(TcpParams),
+    device=NAMES,
     seed=AWKWARD_NUMBERS,
     cpus_per_node=AWKWARD_NUMBERS,
 )

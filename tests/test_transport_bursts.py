@@ -21,12 +21,10 @@ import pytest
 from repro.config import FaultConfig, gm_system, portals_system
 from repro.core import PollingConfig, PwwConfig, run_polling, run_pww
 from repro.core.accounting import drain_events
-from repro.ext.whatif import build_custom_world
 from repro.hardware.nic import SendJob
 from repro.mpi import build_world
 from repro.obs import Observer, ObsTracer
 from repro.obs.context import use_observer
-from repro.transport.gm import GmDevice
 from repro.transport.packets import (
     PacketKind,
     control_packet,
@@ -66,7 +64,8 @@ def _explicit_tracer_world():
 
 
 def _custom_tracer_world():
-    return build_custom_world(gm_system(), GmDevice, tracer=ObsTracer())
+    return build_world(gm_system(device="repro.transport.gm:GmDevice"),
+                       tracer=ObsTracer())
 
 
 # ---------------------------------------------------------------- structure
