@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..core.executor import SweepExecutor, current_executor, use_executor
+from ..core.executor import SweepExecutor, current_executor
 from .ascii_plot import render
 from .claims import ALL_CLAIMS, ClaimResult
 from .registry import ALL_FIGURES, FIGURE_SPECS, FigureData, build_figure
@@ -43,7 +43,7 @@ def run_figure(fig_id: str, per_decade: int = 2,
 
     ``executor`` parallelizes/caches the figure's sweeps (see
     :class:`~repro.core.executor.SweepExecutor`); ``None`` uses the
-    ambient executor (:func:`~repro.core.executor.current_executor`).
+    process-wide default (:func:`~repro.core.executor.current_executor`).
     The figure is bracketed by ``figure_start`` / ``figure_end``
     lifecycle events on that executor.
     """
@@ -55,8 +55,8 @@ def run_figure(fig_id: str, per_decade: int = 2,
     executor = current_executor(executor)
     executor.publish("figure_start", figure=fig_id)
     t0_wall = time.perf_counter()
-    with use_executor(executor):
-        fig = build_figure(spec, per_decade=per_decade, **kwargs)
+    fig = build_figure(spec, per_decade=per_decade, executor=executor,
+                       **kwargs)
     wall_s = time.perf_counter() - t0_wall
     executor.publish("figure_end", figure=fig_id, wall_s=wall_s)
     return FigureReport(fig, checker(fig), wall_s=wall_s)

@@ -37,19 +37,14 @@ unchanged; the exit status is 1 if any invariant was violated.  Cached
 points are returned as-is (they were checked, or checkable, when first
 simulated).
 
-``--metrics`` (on ``figures``, ``report``) attaches the observability
-layer (:mod:`repro.obs`): simulation metrics (phase breakdowns, poll
-hit/miss, queue depths) plus wall-clock executor profiles (cache lookup
-latency, fan-out utilization) land in a ``metrics.json`` sidecar next to
-the results.  Figure values are bit-identical with or without it.  Note:
-with ``--jobs > 1`` points simulate in worker processes, whose simulation
-events stay there — sim metrics cover in-process points; executor stage
-profiles always cover everything.
-
-``comb trace <figure|polling|pww|pattern>`` runs one figure or one point
-with the full tracer attached (forced serial, uncached, so every event
-is captured) and exports a Chrome ``trace_event`` JSON (loads in
-``about:tracing`` / Perfetto), a CSV timeline, and the metrics sidecar.
+``comb trace <figure|polling|pww|pattern>`` is the one observed run: it
+runs one figure or one point with the observability layer
+(:mod:`repro.obs`) attached, forced serial and uncached so every event is
+captured, and exports a Chrome ``trace_event`` JSON (loads in
+``about:tracing`` / Perfetto), a CSV timeline, and a
+``<target>.metrics.json`` sidecar: simulation metrics (phase breakdowns,
+poll hit/miss, queue depths) plus the executor's wall-clock stage
+profile and hit/miss stats.
 ``polling`` and ``pww`` targets also print each node's kernel time by
 handler label and its user/kernel/idle shares.  With ``--attribution``
 the event stream is additionally stitched into causal spans
@@ -159,11 +154,6 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         help=f"point-cache directory (default: {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
-        "--metrics", action="store_true",
-        help="attach the observability layer and write a metrics.json "
-        "sidecar next to the results (values are unchanged)",
-    )
-    parser.add_argument(
         "--reps", type=_positive_int, default=1, metavar="N",
         help="replicates per sweep point on named RNG substreams "
         "(default: 1, the bit-identical single-shot path); aggregated "
@@ -216,12 +206,11 @@ def _add_check_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_executor(args: argparse.Namespace, metrics=None, telemetry=None,
+def _make_executor(args: argparse.Namespace, telemetry=None,
                    point_log: bool = False) -> SweepExecutor:
     cache = None if args.no_cache else PointCache(args.cache_dir)
     return SweepExecutor(jobs=args.jobs, cache=cache, check=args.check,
-                         metrics=metrics, reps=getattr(args, "reps", 1),
-                         ci_width=getattr(args, "ci_width", None),
+                         reps=args.reps, ci_width=args.ci_width,
                          telemetry=telemetry, point_log=point_log)
 
 
@@ -320,36 +309,6 @@ class _LiveSweep:
                 claims_ok=claims_ok,
             )
             self.ledger.close()
-
-
-def _maybe_observer(args: argparse.Namespace):
-    """A fresh :class:`~repro.obs.Observer` when ``--metrics`` is set,
-    else ``None`` (``use_observer(None)`` is a no-op)."""
-    if not getattr(args, "metrics", False):
-        return None
-    from .obs import Observer
-
-    return Observer()
-
-
-def _write_metrics_sidecar(observer, executor: SweepExecutor, out_dir) -> int:
-    """Write the ``metrics.json`` sidecar; return 0, or 1 on I/O failure
-    (one-line diagnostic instead of a traceback)."""
-    from pathlib import Path
-
-    from .obs import write_metrics
-
-    doc = observer.to_dict()
-    doc["executor"] = executor.stats.to_dict()
-    target = Path(out_dir) / "metrics.json"
-    try:
-        path = write_metrics(doc.pop("metrics"), target, extra=doc)
-    except OSError as exc:
-        print(f"error: cannot write metrics sidecar {target}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(f"wrote {path}")
-    return 0
 
 
 def _report_violations(violations) -> int:
@@ -617,28 +576,15 @@ def _run_trace(args: argparse.Namespace) -> int:
         write_metrics,
     )
 
-    observer = Observer(ring_capacity=args.ring_capacity, kernel=args.kernel)
     target = args.target
-    executor_stats = None
-    # Forced serial + uncached: cached points never simulate (no events)
-    # and pooled points simulate in other processes (events stranded
-    # there) — tracing wants the complete timeline.
+    task = None
     if target in FIGURE_SPECS:
-        with SweepExecutor(jobs=1, cache=None,
-                           metrics=observer.metrics) as executor:
-            with use_observer(observer):
-                run_figure(target, per_decade=args.per_decade,
-                           executor=executor)
-            executor_stats = executor.stats
         label = f"comb {target}"
     elif target in ("polling", "pww") or target in _PATTERN_ALIASES:
         # One executor point, as a figure's: its point markers let
         # attribution label the point and drop its warmup windows (see
         # repro.obs.attribution).
         task = _point_task(args, target)
-        with SweepExecutor(jobs=1, cache=None) as executor:
-            with use_observer(observer):
-                executor.run_one(task)
         label = f"comb {target} {task.system.name}"
         if task.kind == "pattern":
             label += f" x{task.cfg.ranks}"
@@ -648,6 +594,19 @@ def _run_trace(args: argparse.Namespace) -> int:
               f"a pattern ({'/'.join(sorted(_PATTERN_ALIASES))})",
               file=sys.stderr)
         return 2
+
+    observer = Observer(ring_capacity=args.ring_capacity, kernel=args.kernel)
+    # Forced serial + uncached: cached points never simulate (no events)
+    # and pooled points simulate in other processes (events stranded
+    # there) — tracing wants the complete timeline.
+    with SweepExecutor(jobs=1, cache=None,
+                       metrics=observer.metrics) as executor:
+        with use_observer(observer):
+            if task is None:
+                run_figure(target, per_decade=args.per_decade,
+                           executor=executor)
+            else:
+                executor.run_one(task)
 
     events = observer.events()
     dropped = observer.tracer.dropped()
@@ -660,8 +619,7 @@ def _run_trace(args: argparse.Namespace) -> int:
                                dropped=dropped),
         ]
         doc = observer.to_dict()
-        if executor_stats is not None:
-            doc["executor"] = executor_stats.to_dict()
+        doc["executor"] = executor.stats.to_dict()
         paths.append(write_metrics(doc.pop("metrics"),
                                    out_dir / f"{target}.metrics.json",
                                    extra=doc))
@@ -678,6 +636,47 @@ def _run_trace(args: argparse.Namespace) -> int:
         print(f"wrote {path}")
     print(f"open {paths[0]} in about:tracing or https://ui.perfetto.dev")
     return 0
+
+
+def _run_sweep(args: argparse.Namespace) -> int:
+    """``comb figures`` / ``comb report``: regenerate figures through one
+    executor, print them with their claim checks, and exit 1 on a failed
+    claim, a sanitizer violation, a replica disagreement, or a dead pool
+    worker."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    live = _LiveSweep(args, args.command)
+    if live.error:
+        print(live.error, file=sys.stderr)
+        return 1
+    try:
+        with _make_executor(args, telemetry=live.channel,
+                            point_log=live.point_log) as executor:
+            reports = run_all(per_decade=args.per_decade,
+                              fig_ids=getattr(args, "ids", None),
+                              executor=executor)
+            if getattr(args, "out", None):
+                paths = export_figures([r.figure for r in reports], args.out)
+                print(f"wrote {len(paths)} files to {args.out}")
+    except BrokenProcessPool as exc:
+        live.finish(executor)
+        print(f"error: a sweep worker process died: {exc}", file=sys.stderr)
+        return 1
+    live.finish(executor, reports)
+    if args.command == "report":
+        print(format_report(reports))
+    else:
+        for rep in reports:
+            if not args.no_plots:
+                print(render(rep.figure))
+            for c in rep.claims:
+                mark = "PASS" if c.ok else "FAIL"
+                print(f"  [{mark}] {c.claim} ({c.detail})")
+    if _report_disagreements(executor.disagreements):
+        return 1
+    if args.check and _report_violations(executor.violations):
+        return 1
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def _print_kernel_profile(world) -> None:
@@ -863,41 +862,8 @@ def _run_command(args: argparse.Namespace) -> int:
               f"bandwidth={r.bandwidth_MBps:.2f} MB/s")
         return 0
 
-    if args.command == "figures":
-        from .obs.context import use_observer
-
-        observer = _maybe_observer(args)
-        live = _LiveSweep(args, "figures")
-        if live.error:
-            print(live.error, file=sys.stderr)
-            return 1
-        with _make_executor(
-            args, metrics=observer.metrics if observer else None,
-            telemetry=live.channel, point_log=live.point_log,
-        ) as executor:
-            with use_observer(observer):
-                reports = run_all(per_decade=args.per_decade,
-                                  fig_ids=args.ids, executor=executor)
-            if args.out:
-                paths = export_figures([r.figure for r in reports], args.out)
-                print(f"wrote {len(paths)} files to {args.out}")
-            if observer is not None and _write_metrics_sidecar(
-                observer, executor, args.out or "results"
-            ):
-                live.finish(executor, reports)
-                return 1
-        live.finish(executor, reports)
-        for rep in reports:
-            if not args.no_plots:
-                print(render(rep.figure))
-            for c in rep.claims:
-                mark = "PASS" if c.ok else "FAIL"
-                print(f"  [{mark}] {c.claim} ({c.detail})")
-        if _report_disagreements(executor.disagreements):
-            return 1
-        if args.check and _report_violations(executor.violations):
-            return 1
-        return 0 if all(r.ok for r in reports) else 1
+    if args.command in ("figures", "report"):
+        return _run_sweep(args)
 
     if args.command == "history":
         return _run_history(args)
@@ -957,34 +923,6 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if args.command == "trace":
         return _run_trace(args)
-
-    if args.command == "report":
-        from .obs.context import use_observer
-
-        observer = _maybe_observer(args)
-        live = _LiveSweep(args, "report")
-        if live.error:
-            print(live.error, file=sys.stderr)
-            return 1
-        with _make_executor(
-            args, metrics=observer.metrics if observer else None,
-            telemetry=live.channel, point_log=live.point_log,
-        ) as executor:
-            with use_observer(observer):
-                reports = run_all(per_decade=args.per_decade,
-                                  executor=executor)
-            if observer is not None and _write_metrics_sidecar(
-                observer, executor, "results"
-            ):
-                live.finish(executor, reports)
-                return 1
-        live.finish(executor, reports)
-        print(format_report(reports))
-        if _report_disagreements(executor.disagreements):
-            return 1
-        if args.check and _report_violations(executor.violations):
-            return 1
-        return 0 if all(r.ok for r in reports) else 1
 
     raise AssertionError("unreachable")  # pragma: no cover
 

@@ -10,7 +10,6 @@ from .executor import (
     default_executor,
     run_task,
     task_key,
-    use_executor,
 )
 from .polling import COMB_TAG, PollingConfig, run_polling
 from .pww import PwwBatch, PwwConfig, run_pww, run_pww_batches
@@ -57,6 +56,5 @@ __all__ = [
     "run_pww_batches",
     "run_task",
     "task_key",
-    "use_executor",
     "work_time",
 ]

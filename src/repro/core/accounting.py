@@ -8,7 +8,8 @@ method runners deposit their final counts here.  The sweep executor's
 worker entry drains the tally after every point, in whichever process
 simulated it, and returns the count with the point; the parent sums
 them into the metrics registry (``sim.events_processed``), which the
-``metrics.json`` sidecar and perfbench's ``sim.events`` metric report.
+``comb trace`` metrics sidecar and perfbench's ``sim.events`` metric
+report.
 """
 
 from __future__ import annotations

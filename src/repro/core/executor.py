@@ -6,9 +6,12 @@ suite's hot loop is embarrassingly parallel *and* perfectly memoizable.
 This module exploits both properties:
 
 * :class:`SweepExecutor` fans a list of :class:`PointTask` records out
-  over a spawn-safe :mod:`multiprocessing` pool (``jobs > 1``) or runs
-  them inline (``jobs=1``, the default).  Results are assembled in task
-  order, so the pool path is bit-identical to the serial path.
+  over a spawn-context :class:`~concurrent.futures.ProcessPoolExecutor`
+  (``jobs > 1``) or runs them inline (``jobs=1``, the default).  Results
+  are assembled in task order, so the pool path is bit-identical to the
+  serial path.  A worker that dies raises
+  :class:`~concurrent.futures.process.BrokenProcessPool` from
+  :meth:`SweepExecutor.run` instead of losing its point.
 * :class:`PointCache` is a content-addressed on-disk store: the key is a
   stable SHA-256 over the full :class:`~repro.config.SystemConfig`, the
   method config, the method kind, and a code-version salt hashed from the
@@ -19,11 +22,11 @@ This module exploits both properties:
   *within* a run — overlapping figures (e.g. Figs 4/5 share one polling
   sweep; Figs 14–17 re-sweep the same grids) pay for each point once.
 
-Executor resolution is layered: an explicit ``executor=`` argument wins,
-then the innermost :func:`use_executor` context, then a lazily-created
-process-wide serial default.  Library code therefore never *needs* to
-know about executors, while drivers (CLI, ``reproduce_paper.py``) opt in
-to parallelism and persistence with two flags.
+Executor resolution is explicit-or-default: an ``executor=`` argument
+wins, else a lazily-created process-wide serial default runs the
+points.  Library code therefore never *needs* to know about executors,
+while drivers (CLI, ``reproduce_paper.py``) opt in to parallelism and
+persistence with two flags.
 """
 
 from __future__ import annotations
@@ -31,19 +34,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import multiprocessing
-import multiprocessing.pool
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-    Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional,
+    Sequence, Tuple, Union,
 )
 
 from ..config import SystemConfig
@@ -78,6 +78,9 @@ from .accounting import drain_events
 from .polling import PollingConfig, run_polling
 from .pww import PwwConfig, run_pww
 from .results import PollingPoint, PwwPoint
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Any method's per-point result record.
 Point = Union[PollingPoint, PwwPoint, PatternPoint]
@@ -561,7 +564,7 @@ class SweepExecutor:
         #: diverged bit-level — sanitizer escapes (see ``repro.stats``).
         self.disagreements: List[Disagreement] = []
         self._memo: Dict[str, Any] = {}
-        self._pool: Optional[multiprocessing.pool.Pool] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_size = 0
         self._evictions_base = cache.evictions if cache is not None else 0
 
@@ -569,8 +572,7 @@ class SweepExecutor:
     def close(self) -> None:
         """Shut the worker pool down and release subscribers (idempotent)."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
         for subscriber in self.subscribers:
             subscriber.close()
@@ -587,16 +589,23 @@ class SweepExecutor:
         except Exception:
             pass
 
-    def _get_pool(self, want: int) -> multiprocessing.pool.Pool:
+    def _get_pool(self, want: int) -> ProcessPoolExecutor:
         """Lazily create (and reuse) the spawn-context worker pool."""
         if self._pool is None:
-            ctx = multiprocessing.get_context("spawn")
+            # Imported here: only pooled runs pay for the pool machinery.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool_size = min(self.jobs, max(want, 1))
             # A subscriber may arm every worker (the telemetry queue
             # ships through initargs, the only way into a spawn worker).
-            init = next((s.pool_init for s in self.subscribers
-                         if s.pool_init), ())
-            self._pool = ctx.Pool(self._pool_size, *init)
+            initializer, initargs = next(
+                (s.pool_init for s in self.subscribers if s.pool_init),
+                (None, ()))
+            self._pool = ProcessPoolExecutor(
+                self._pool_size,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=initializer, initargs=initargs)
         return self._pool
 
     def publish(self, kind: str, **fields: Any) -> None:
@@ -812,10 +821,11 @@ class SweepExecutor:
         raw: Iterable[Tuple[Point, List[Any], float, int]]
         if pooled:
             assert self._pool is not None
-            # chunksize=1: tasks are coarse (whole simulations); dynamic
-            # dispatch balances wildly uneven point costs.  pool.map keeps
-            # result order == task order, preserving determinism.
-            raw = self._pool.map(entry, jobs, chunksize=1)
+            # One task per dispatch: tasks are coarse (whole simulations)
+            # and dynamic dispatch balances wildly uneven point costs.
+            # map keeps result order == task order, preserving
+            # determinism, and raises BrokenProcessPool if a worker dies.
+            raw = self._pool.map(entry, jobs)
         else:
             def inline() -> Iterator[Tuple[Point, List[Any], float, int]]:
                 for task, key in jobs:  # announced as this process starts it
@@ -835,7 +845,6 @@ class SweepExecutor:
 
 # --------------------------------------------------------- default resolution
 _default_executor: Optional[SweepExecutor] = None
-_active_stack: List[SweepExecutor] = []
 
 
 def default_executor() -> SweepExecutor:
@@ -847,30 +856,8 @@ def default_executor() -> SweepExecutor:
 
 
 def current_executor(explicit: Optional[SweepExecutor] = None) -> SweepExecutor:
-    """Resolve the executor for a sweep call.
-
-    Priority: explicit argument > innermost :func:`use_executor` context >
-    process-wide serial default.
-    """
+    """Resolve the executor for a sweep call: ``explicit`` if given, else
+    the process-wide serial default."""
     if explicit is not None:
         return explicit
-    if _active_stack:
-        return _active_stack[-1]
     return default_executor()
-
-
-@contextmanager
-def use_executor(executor: Optional[SweepExecutor]) -> Iterator[Optional[SweepExecutor]]:
-    """Make ``executor`` ambient for the dynamic extent of the block.
-
-    ``None`` is accepted (and is a no-op) so callers can write
-    ``with use_executor(maybe_executor):`` unconditionally.
-    """
-    if executor is None:
-        yield None
-        return
-    _active_stack.append(executor)
-    try:
-        yield executor
-    finally:
-        _active_stack.pop()

@@ -68,8 +68,8 @@ class CombSuite:
 
     An optional :class:`~repro.core.executor.SweepExecutor` parallelizes
     and/or caches every measurement the suite runs; by default points run
-    serially through the ambient executor (see
-    :func:`~repro.core.executor.use_executor`).
+    through the process-wide serial executor (see
+    :func:`~repro.core.executor.current_executor`).
     """
 
     def __init__(self, system: SystemConfig,

@@ -4,8 +4,7 @@ Each point runs on a fresh world, so sweeps are embarrassingly independent
 and fully deterministic.  The drivers build picklable
 :class:`~repro.core.executor.PointTask` records and hand them to a
 :class:`~repro.core.executor.SweepExecutor` — serial by default, parallel
-and/or cached when the caller (or an ambient :func:`use_executor` context)
-provides one.
+and/or cached when the caller provides one.
 """
 
 from __future__ import annotations

@@ -172,7 +172,7 @@ class TelemetryChannel:
     :func:`pool_worker_init`, every pool worker) emits into
     :attr:`queue`; a consumer (:class:`~repro.obs.live_consumers.
     TelemetryHub`) drains it.  Spawn-context queue, so it ships to
-    spawn-pool workers through ``Pool(initargs=...)``.
+    spawn-pool workers through the pool's ``initargs``.
     """
 
     def __init__(

@@ -155,7 +155,8 @@ def _run_experiment(
             points.append(run_point("pww", cfg))
         return {"kind": kind, "points": points}
     if kind == "offload":
-        verdict = CombSuite(system).offload_verdict(msg_bytes=msg_bytes)
+        verdict = CombSuite(system, executor).offload_verdict(
+            msg_bytes=msg_bytes)
         return {
             "kind": kind,
             "offloaded": verdict.offloaded,

@@ -1,6 +1,6 @@
 """Ambient sanitizer resolution.
 
-Mirrors :func:`repro.core.executor.use_executor`: library code (most
+Mirrors :func:`repro.obs.context.use_observer`: library code (most
 importantly :func:`repro.mpi.world.build_world`) never takes a sanitizer
 argument — drivers make one ambient for the dynamic extent of a run and
 every world built inside attaches itself automatically.  With no active

@@ -70,29 +70,13 @@ class TestFiguresCommand:
 
 
 class TestMetricsFlag:
-    def test_figures_metrics_writes_sidecar(self, capsys, tmp_path):
-        # --no-cache forces simulation so sim-level metrics are present
-        # regardless of the developer's .comb_cache state.
-        rc = main(["figures", "--ids", "fig13", "--out", str(tmp_path),
-                   "--no-plots", "--metrics", "--no-cache"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        doc = json.loads((tmp_path / "metrics.json").read_text())
-        assert "schema_version" in doc
-        assert "sim.pww.batches" in doc["metrics"]["counters"]
-        assert "executor.points_simulated" in doc["metrics"]["counters"]
-        assert doc["executor"]["misses"] > 0  # hit/miss stats merged in
-        assert "metrics.json" in out
-
-    def test_figures_metrics_values_unchanged(self, capsys, tmp_path):
-        main(["figures", "--ids", "fig13", "--out", str(tmp_path),
-              "--no-plots"])
-        plain = json.loads((tmp_path / "fig13.json").read_text())
-        main(["figures", "--ids", "fig13", "--out", str(tmp_path),
-              "--no-plots", "--metrics"])
-        observed = json.loads((tmp_path / "fig13.json").read_text())
-        capsys.readouterr()
-        assert observed == plain
+    @pytest.mark.parametrize("cmd", ["figures", "report"])
+    def test_metrics_is_an_argument_error(self, capsys, cmd):
+        """``comb trace`` is the observed run; a sweep has no sidecar."""
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--metrics"])
+        assert exc.value.code == 2
+        assert "--metrics" in capsys.readouterr().err
 
 
 class TestTraceCommand:
@@ -108,6 +92,10 @@ class TestTraceCommand:
         assert (tmp_path / "pww.timeline.csv").exists()
         metrics = json.loads((tmp_path / "pww.metrics.json").read_text())
         assert metrics["metrics"]["counters"]["sim.pww.batches"] > 0
+        # The same sidecar shape as a figure target's.
+        assert metrics["executor"]["misses"] == 1
+        assert metrics["metrics"]["counters"][
+            "executor.points_simulated"] == 1
         assert "trace" in out.lower() or str(tmp_path) in out
 
     def test_trace_polling_point(self, capsys, tmp_path):

@@ -9,6 +9,9 @@ values the golden regression pins the direct path to.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,6 @@ from repro.core import (
     pww_sweep,
     run_task,
     task_key,
-    use_executor,
 )
 from repro.core.executor import code_salt
 
@@ -316,16 +318,6 @@ class TestExecutorResolution:
         ex = SweepExecutor(jobs=1)
         assert current_executor(ex) is ex
 
-    def test_ambient_context(self):
-        ex = SweepExecutor(jobs=1)
-        with use_executor(ex):
-            assert current_executor() is ex
-        assert current_executor() is not ex
-
-    def test_use_executor_accepts_none(self):
-        with use_executor(None):
-            assert current_executor() is default_executor()
-
     def test_run_task_direct(self):
         cfg = dataclasses.replace(POLL_BASE, poll_interval_iters=1_000)
         pt = run_task(PointTask("polling", gm_system(), cfg))
@@ -333,7 +325,66 @@ class TestExecutorResolution:
 
 
 # ------------------------------------------------------------------------- CLI
+#: A device whose construction kills the process building it.
+DYING_DEVICE = """
+import os
+
+
+class DyingDevice:
+    def __init__(self, *args):
+        os._exit(1)
+"""
+
+#: ``comb`` whose figures are two points on the dying device.
+DEAD_WORKER_SWEEP = """
+import sys
+
+import repro.cli
+from repro.config import gm_system
+from repro.core import PointTask, PollingConfig
+
+
+def run_all(executor, **_kwargs):
+    system = gm_system(device="dying_device:DyingDevice")
+    executor.run([PointTask("polling", system,
+                            PollingConfig(poll_interval_iters=interval))
+                  for interval in (1_000, 2_000)])
+    raise AssertionError("a dead worker's point came back")
+
+
+if __name__ == "__main__":
+    repro.cli.run_all = run_all
+    sys.exit(repro.cli.main(sys.argv[1:]))
+"""
+
+
 class TestCliFlags:
+    @pytest.mark.parametrize("cmd", ["figures", "report"])
+    def test_dead_pool_worker_fails_the_sweep(self, tmp_path, cmd):
+        """A pool worker that dies mid-point ends the sweep with one
+        error line and exit 1 (not a sweep that never returns), and the
+        live stream still closes with ``run_end``."""
+        (tmp_path / "dying_device.py").write_text(DYING_DEVICE)
+        script = tmp_path / "sweep.py"
+        script.write_text(DEAD_WORKER_SWEEP)
+        stream = tmp_path / "stream.ndjson"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, str(script), cmd, "--jobs", "2", "--no-cache",
+             "--progress-stream", str(stream),
+             "--ledger-dir", str(tmp_path / "ledger")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        errors = [line for line in proc.stderr.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "worker" in errors[0], proc.stderr
+        assert "Traceback" not in proc.stderr
+        last = json.loads(stream.read_text().splitlines()[-1])
+        assert last["kind"] == "run_end"
+
     def test_figures_with_cache_and_jobs(self, capsys, tmp_path):
         rc = main(["figures", "--ids", "fig13", "--per-decade", "1",
                    "--no-plots", "--jobs", "2",

@@ -185,3 +185,27 @@ class TestCliScenarioErrors:
         (run,) = [r for r in records if r["rec"] == "run"]
         assert run["reps"] == 1
         assert run["cache"]["misses"] == 2
+
+    def test_offload_points_run_on_the_scenario_executor(self, tmp_path,
+                                                         capsys):
+        """The offload verdict's two PWW points go through the scenario's
+        executor like every other point, so the ledger records them."""
+        from repro.cli import main
+        from repro.obs.ledger import ledger_path, read_records
+
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({
+            "name": "t",
+            "systems": [{"preset": "GM"}],
+            "experiments": [{"kind": "offload", "msg_kb": 10},
+                            {"kind": "pww", "msg_kb": 10,
+                             "intervals": [10_000]}],
+        }))
+        assert main(["scenario", str(spec), "--ledger-dir",
+                     str(tmp_path / "ledger")]) == 0
+        capsys.readouterr()
+        records, _ = read_records(ledger_path(tmp_path / "ledger"))
+        points = [r for r in records if r["rec"] == "point"]
+        assert [p["kind"] for p in points] == ["pww"] * 3
+        # The pww experiment's point is the offload's short point again.
+        assert [p["outcome"] for p in points] == ["miss", "miss", "hit"]

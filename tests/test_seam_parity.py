@@ -7,10 +7,11 @@ compares what each observer produced with fixtures under
 ``tests/data/seam_parity``:
 
 * ``comb figures --ids fig04 fig11_ci --per-decade 1 --no-cache
-  --metrics --progress-stream S --ledger-dir L``: stream events emitted
-  by the executor and its workers, ledger records and ``metrics.json``;
+  --progress-stream S --ledger-dir L``: stream events emitted by the
+  executor and its workers, and ledger records;
 * ``comb trace fig12 --attribution``: the Chrome trace, CSV timeline and
-  attribution JSON, byte for byte (compared by SHA-256).
+  attribution JSON, byte for byte (compared by SHA-256), and the metric
+  names and counts of ``fig12.metrics.json``.
 
 The sim side is pinned the same way: one GM PWW point and an 8-rank
 Portals halo3d on a k=4 fat-tree run with the sanitizer and the observer
@@ -150,7 +151,7 @@ def run_commands(work: Path) -> None:
     """Run both fixed commands and the sim cases with every output under
     ``work``."""
     _comb("figures", "--ids", *FIGURE_IDS, "--per-decade", "1",
-          "--no-cache", "--metrics", "--no-plots",
+          "--no-cache", "--no-plots",
           "--progress-stream", str(work / "stream.ndjson"),
           "--ledger-dir", str(work / "ledger"), "--out", str(work / "out"))
     _comb("trace", "fig12", "--attribution", "--out", str(work / "trace"))
@@ -195,7 +196,7 @@ def ledger_records(work: Path) -> List[Dict[str, Any]]:
 
 
 def metrics_profile(work: Path) -> Dict[str, Any]:
-    doc = json.loads((work / "out" / "metrics.json").read_text())
+    doc = json.loads((work / "trace" / "fig12.metrics.json").read_text())
     metrics = doc["metrics"]
     return {
         "names": {section: sorted(series)
