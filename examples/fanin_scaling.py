@@ -2,18 +2,20 @@
 """Fan-in scaling: one worker, many neighbours.
 
 Extends the paper's two-node polling method to 1–7 support peers (the
-8-port switch's limit) and shows where each stack saturates: GM at the
-worker's host bus (availability untouched), Portals at the worker's CPU
-(availability collapses while bandwidth barely gains).
+8-port switch's limit) via ``PollingConfig(peers=n)`` and shows where
+each stack saturates: GM at the worker's host bus (availability
+untouched), Portals at the worker's CPU (availability collapses while
+bandwidth barely gains).
 
 Usage::
 
     python examples/fanin_scaling.py
 """
 
+import dataclasses
+
 from repro.config import gm_system, portals_system
-from repro.core import PollingConfig
-from repro.patterns.fanin import run_fanin_polling
+from repro.core import PollingConfig, run_polling
 
 KB = 1024
 
@@ -27,10 +29,9 @@ def main() -> None:
         print(f"  {'peers':>5s} {'aggregate bw':>13s} {'per peer':>10s} "
               f"{'avail':>7s} {'irq/s':>8s}")
         for n in (1, 2, 4, 7):
-            fp = run_fanin_polling(system, cfg, n)
-            pt = fp.point
+            pt = run_polling(system, dataclasses.replace(cfg, peers=n))
             print(f"  {n:5d} {pt.bandwidth_MBps:10.1f} MB/s "
-                  f"{fp.per_peer_bandwidth_Bps / 1e6:7.1f} MB/s "
+                  f"{pt.bandwidth_Bps / n / 1e6:7.1f} MB/s "
                   f"{pt.availability:7.3f} "
                   f"{pt.interrupts / pt.elapsed_s:8.0f}")
         print()

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..config import SystemConfig, gm_system, portals_system
+from ..config import SystemConfig, get_system
 from ..core.executor import PointTask, SweepExecutor, current_executor
 from ..core.polling import PollingConfig
 from ..core.pww import PwwConfig
@@ -43,11 +42,6 @@ _LINEAR_GRID = tuple(range(25_000, 500_001, 47_500))
 #: Default rank-count axis: two-node (the paper's world) up to a
 #: two-edge-switch fat-tree's worth.
 DEFAULT_RANK_COUNTS = (2, 4, 8, 16)
-
-_SYSTEMS: Dict[str, Callable[[], SystemConfig]] = {
-    "gm": gm_system,
-    "portals": portals_system,
-}
 
 #: Each method's natural sweep axis (the default ``x_attr``).
 _SWEEP_AXIS = {"polling": "poll_interval_iters", "pww": "work_interval_iters"}
@@ -115,7 +109,7 @@ class CurveSpec:
     """One registry row: how to produce one (or one-per-size) curve."""
 
     method: str                 # "polling" | "pww" | "pattern"
-    system: str = "portals"     # key into _SYSTEMS
+    system: str = "portals"     # preset name (config.get_system)
     y_attr: str = "availability"
     x_attr: str = ""            # "" → the method's sweep axis
     label: str = ""             # "" → size label (fan_sizes) or system name
@@ -246,7 +240,7 @@ def _sweep_curves(
     executor: Any,
 ) -> List[Curve]:
     """Curves for one polling/pww registry row (1, or one per size)."""
-    system = _SYSTEMS[cs.system]()
+    system = get_system(cs.system)
     intervals = (list(grid) if cs.lo == 0.0
                  else log_intervals(cs.lo, cs.hi, per_decade))
     sweep = polling_sweep if cs.method == "polling" else pww_sweep
@@ -291,10 +285,9 @@ def build_figure(
     """
     eff_reps = reps if reps is not None else spec.reps
     eff_ci = ci_width if ci_width is not None else spec.ci_width
-    run_executor: Any = executor
+    run_executor: Any = current_executor(executor)
     if eff_reps is not None or eff_ci is not None:
-        run_executor = _ReplicationOverride(current_executor(executor),
-                                            eff_reps, eff_ci)
+        run_executor = _ReplicationOverride(run_executor, eff_reps, eff_ci)
     curves: List[Curve] = []
     has_pattern = False
     for cs in spec.curves:
@@ -303,7 +296,7 @@ def build_figure(
             base = PatternConfig(msg_bytes=msg_bytes,
                                  work_interval_iters=work_interval_iters)
             curves.append(pattern_scaling(
-                _SYSTEMS[cs.system](), cs.pattern, rank_counts,
+                get_system(cs.system), cs.pattern, rank_counts,
                 cs.topology, base, label=cs.label or None,
                 executor=run_executor,
             ))

@@ -42,8 +42,8 @@ def run_figure(fig_id: str, per_decade: int = 2,
     checker is an error, not a figure with no claims.
 
     ``executor`` parallelizes/caches the figure's sweeps (see
-    :class:`~repro.core.executor.SweepExecutor`); ``None`` uses the
-    process-wide default (:func:`~repro.core.executor.current_executor`).
+    :class:`~repro.core.executor.SweepExecutor`); ``None`` runs it on a
+    fresh serial executor (:func:`~repro.core.executor.current_executor`).
     The figure is bracketed by ``figure_start`` / ``figure_end``
     lifecycle events on that executor.
     """
@@ -67,9 +67,11 @@ def run_all(per_decade: int = 2,
             executor: Optional[SweepExecutor] = None) -> List[FigureReport]:
     """Regenerate every requested figure (default: all of Figs 4–17).
 
-    A shared ``executor`` makes overlapping figures nearly free: points
-    already simulated for an earlier figure come back from its memo/cache.
+    One executor (``executor``, else a fresh serial one) runs every
+    figure, so overlapping figures are nearly free: points already
+    simulated for an earlier figure come back from its memo/cache.
     """
+    executor = current_executor(executor)
     return [run_figure(fid, per_decade=per_decade, executor=executor)
             for fid in fig_ids or ALL_FIGURES]
 

@@ -86,7 +86,7 @@ from typing import List, Optional
 from .analysis import (FIGURE_SPECS, export_figures, format_report, render,
                        run_all, run_figure)
 from .baselines import run_netperf
-from .config import PRESETS, get_system
+from .config import PRESETS, get_system, preset_names
 from .core import (
     CombSuite,
     PointCache,
@@ -341,7 +341,7 @@ def _report_disagreements(disagreements) -> int:
 
 def _add_system(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--system", default="GM", choices=sorted(PRESETS),
+        "--system", default="GM", choices=preset_names(),
         help="system preset to simulate",
     )
 
@@ -428,8 +428,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="system comparison table")
     p.add_argument("--systems", nargs="*", default=None,
-                   choices=sorted(PRESETS),
-                   help="preset names (default: all, plus the offload NIC)")
+                   choices=preset_names(),
+                   help="preset names (default: the paper's presets, plus "
+                   "the offload NIC)")
     p.add_argument("--size", type=float, default=100,
                    help="message size (KB)")
 
@@ -873,13 +874,9 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if args.command == "compare":
         from .analysis.tables import format_table, system_comparison
-        from .ext import offload_nic_system
 
-        if args.systems:
-            systems = [get_system(name) for name in args.systems]
-        else:
-            systems = [get_system(n) for n in sorted(PRESETS)]
-            systems.append(offload_nic_system())
+        names = args.systems or [*sorted(PRESETS), "OffloadNIC"]
+        systems = [get_system(name) for name in names]
         rows = system_comparison(systems, msg_bytes=int(args.size * 1024))
         print(format_table(rows))
         return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import List, Optional
 
 from .sim.units import kib, mbps, mhz, usec
 
@@ -310,9 +310,31 @@ PRESETS = {
 }
 
 
+#: What-if presets beyond the paper, by name -> factory in
+#: :mod:`repro.ext` (imported on lookup: the extensions build on this
+#: module).
+EXT_PRESETS = {
+    "EMP": "emp_system",
+    "OffloadNIC": "offload_nic_system",
+    "Portals+coalesce": "coalesced_portals",
+}
+
+
+def preset_names() -> List[str]:
+    """Every name :func:`get_system` resolves: the paper's presets, then
+    the extensions'."""
+    return sorted(PRESETS) + sorted(EXT_PRESETS)
+
+
 def get_system(name: str, **overrides) -> SystemConfig:
-    """Look up a preset by (case-insensitive) name."""
+    """Look up a preset or extension preset by (case-insensitive) name."""
     for key, factory in PRESETS.items():
         if key.lower() == name.lower():
             return factory(**overrides)
-    raise KeyError(f"unknown system preset {name!r}; have {sorted(PRESETS)}")
+    for key, factory_name in EXT_PRESETS.items():
+        if key.lower() == name.lower():
+            from . import ext
+
+            system = getattr(ext, factory_name)()
+            return system.replaced(**overrides) if overrides else system
+    raise KeyError(f"unknown system preset {name!r}; have {preset_names()}")

@@ -7,7 +7,6 @@ from .executor import (
     PointTask,
     SweepExecutor,
     current_executor,
-    default_executor,
     run_task,
     task_key,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "SweepExecutor",
     "WORK_GRID",
     "current_executor",
-    "default_executor",
     "dry_run_iter_time",
     "log_intervals",
     "polling_sweep",

@@ -22,11 +22,13 @@ This module exploits both properties:
   *within* a run — overlapping figures (e.g. Figs 4/5 share one polling
   sweep; Figs 14–17 re-sweep the same grids) pay for each point once.
 
-Executor resolution is explicit-or-default: an ``executor=`` argument
-wins, else a lazily-created process-wide serial default runs the
-points.  Library code therefore never *needs* to know about executors,
-while drivers (CLI, ``reproduce_paper.py``) opt in to parallelism and
-persistence with two flags.
+Executor resolution is explicit-or-fresh: an ``executor=`` argument
+wins, else a new serial, uncached executor runs the call's points.
+Library code therefore never *needs* to know about executors, while
+drivers (CLI, ``reproduce_paper.py``) opt in to parallelism and
+persistence with two flags.  Nothing is memoized across calls that do
+not share an executor, so a repeated call under an observer or the
+sanitizer simulates (and is observed or checked) again.
 """
 
 from __future__ import annotations
@@ -844,20 +846,9 @@ class SweepExecutor:
 
 
 # --------------------------------------------------------- default resolution
-_default_executor: Optional[SweepExecutor] = None
-
-
-def default_executor() -> SweepExecutor:
-    """The process-wide serial executor (created on first use)."""
-    global _default_executor
-    if _default_executor is None:
-        _default_executor = SweepExecutor(jobs=1, cache=None)
-    return _default_executor
-
-
 def current_executor(explicit: Optional[SweepExecutor] = None) -> SweepExecutor:
     """Resolve the executor for a sweep call: ``explicit`` if given, else
-    the process-wide serial default."""
+    a fresh serial one, so no memo outlives the call that filled it."""
     if explicit is not None:
         return explicit
-    return default_executor()
+    return SweepExecutor()

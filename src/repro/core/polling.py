@@ -9,6 +9,10 @@ fast as messages arrive.  Because the worker never blocks, the method
 reports an unfettered trade-off between bandwidth and CPU availability as
 the poll interval varies.
 
+``PollingConfig.peers`` generalizes the support side to a fan-in: ``N``
+support ranks (one per extra node) all stream at the single worker, which
+keeps one queue per peer.  ``peers=1`` is the paper's two-node method.
+
 Simulation note: runs of *empty* poll cycles (work + negative test) are
 deterministic, so they are aggregated (:mod:`repro.core.quiescence`) into a
 single CPU occupation that
@@ -55,6 +59,9 @@ class PollingConfig:
     #: The window is stretched so it spans at least this many poll cycles
     #: (matters when the poll interval exceeds ``measure_s``).
     min_cycles: int = 6
+    #: Support ranks feeding the worker (fan-in); 1 is the paper's
+    #: two-node method.  The crossbar's port count caps ``peers + 1``.
+    peers: int = 1
 
 
 class _WorkerState:
@@ -70,12 +77,21 @@ def run_polling(system: SystemConfig, cfg: PollingConfig) -> PollingPoint:
         raise ValueError("poll interval must be positive")
     if cfg.queue_depth < 1:
         raise ValueError("queue depth must be >= 1")
-    world = build_world(system)
+    if cfg.peers < 1:
+        raise ValueError("need at least one peer")
+    ports = system.machine.switch.ports
+    if cfg.peers + 1 > ports:
+        raise ValueError(
+            f"{cfg.peers} peers + worker exceed the {ports}-port switch"
+        )
+    world = build_world(system, n_nodes=cfg.peers + 1)
     state = _WorkerState()
     worker = world.engine.spawn(
         _worker(world, cfg, state), name="comb.polling.worker"
     )
-    world.engine.spawn(_support(world, cfg), name="comb.polling.support")
+    for peer in range(1, cfg.peers + 1):
+        world.engine.spawn(_support(world, cfg, peer),
+                           name="comb.polling.support")
     world.engine.run(worker)
     tally_events(world.engine.events_processed)
     assert state.result is not None
@@ -105,12 +121,17 @@ def _worker(
     cycle_s = work_s + empty_poll_s
 
     # ------------------------------------------------------------- pipeline
+    # One flat request list in peer-major order: slot ``i`` belongs to
+    # support rank ``1 + i // depth``.
+    depth = cfg.queue_depth
     recv_reqs: List[Request] = []
-    for _ in range(cfg.queue_depth):
-        r = yield from h.irecv(src=1, nbytes=cfg.msg_bytes, tag=COMB_TAG)
-        recv_reqs.append(r)
-    for _ in range(cfg.queue_depth):
-        yield from h.isend(1, cfg.msg_bytes, tag=COMB_TAG)
+    for peer in range(1, cfg.peers + 1):
+        for _ in range(depth):
+            r = yield from h.irecv(src=peer, nbytes=cfg.msg_bytes,
+                                   tag=COMB_TAG)
+            recv_reqs.append(r)
+        for _ in range(depth):
+            yield from h.isend(peer, cfg.msg_bytes, tag=COMB_TAG)
 
     # ----------------------------------------------------------- main loop
     iters_done = 0.0
@@ -137,9 +158,10 @@ def _worker(
         if done_idx:
             for i in done_idx:
                 # Answer each arrived message and replace the receive.
-                yield from h.isend(1, cfg.msg_bytes, tag=COMB_TAG)
+                peer = 1 + i // depth
+                yield from h.isend(peer, cfg.msg_bytes, tag=COMB_TAG)
                 recv_reqs[i] = yield from h.irecv(
-                    src=1, nbytes=cfg.msg_bytes, tag=COMB_TAG
+                    src=peer, nbytes=cfg.msg_bytes, tag=COMB_TAG
                 )
         elif not dev.has_work() and not any(r.done for r in recv_reqs):
             # Nothing to do until the device signals: spin through whole
@@ -198,10 +220,12 @@ def _worker(
     )
 
 
-def _support(world: World, cfg: PollingConfig) -> Iterator[object]:
-    """The support process: pure message passing, replies immediately."""
-    ctx = world.cluster[1].new_context("comb.support")
-    h = world.endpoint(1).bind(ctx)
+def _support(
+    world: World, cfg: PollingConfig, rank: int = 1
+) -> Iterator[object]:
+    """A support process: pure message passing, replies immediately."""
+    ctx = world.cluster[rank].new_context("comb.support")
+    h = world.endpoint(rank).bind(ctx)
     recv_reqs: List[Request] = []
     for _ in range(cfg.queue_depth):
         r = yield from h.irecv(src=0, nbytes=cfg.msg_bytes, tag=COMB_TAG)

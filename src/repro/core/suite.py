@@ -67,8 +67,8 @@ class CombSuite:
     """COMB bound to one system preset.
 
     An optional :class:`~repro.core.executor.SweepExecutor` parallelizes
-    and/or caches every measurement the suite runs; by default points run
-    through the process-wide serial executor (see
+    and/or caches every measurement the suite runs; without one, each
+    call runs on a fresh serial executor (see
     :func:`~repro.core.executor.current_executor`).
     """
 

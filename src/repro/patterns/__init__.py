@@ -18,6 +18,10 @@ Every pattern reports the paper's overlap metrics per rank plus
 aggregates across ranks, flows through the sweep executor/cache, the
 scenario runner, the CLI (``comb pattern``), and the attribution
 pipeline (each rank emits the standard ``pww_phase`` trace events).
+
+Fan-in — one polling worker fed by several support ranks — is not a
+pattern here: it is the polling method itself with
+``PollingConfig(peers=N)`` (:mod:`repro.core.polling`).
 """
 
 from .config import (
@@ -30,10 +34,8 @@ from .config import (
 )
 from .results import PatternPoint, RankSample
 from .runner import run_pattern
-from .fanin import FanInPoint, run_fanin_polling
 
 __all__ = [
-    "FanInPoint",
     "PATTERN_KINDS",
     "PATTERN_TAG",
     "PatternConfig",
@@ -42,6 +44,5 @@ __all__ = [
     "balanced_grid",
     "grid_neighbors",
     "halo_pairs",
-    "run_fanin_polling",
     "run_pattern",
 ]

@@ -24,7 +24,8 @@ Supported experiment kinds: ``polling`` (sweep over ``intervals``),
 (``sizes_kb``), and ``pattern`` (application communication patterns —
 ``pattern`` names halo2d/halo3d/sweep/allreduce, sweeping ``ranks`` over
 ``rank_counts`` on a named ``topology``).  Extra per-point options go
-under ``config`` and feed the corresponding Config dataclass.
+under ``config`` and feed the corresponding Config dataclass (e.g.
+``"config": {"peers": 3}`` makes a polling experiment a 3-peer fan-in).
 
 A top-level ``"replication"`` object requests replicated measurement
 for the point-producing kinds (polling/pww/pattern)::
@@ -44,10 +45,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Union
+from typing import Any, Dict, List, Union
 
 from .baselines import run_netperf, run_pingpong
-from .config import PRESETS, SystemConfig, get_system
+from .config import SystemConfig, get_system, preset_names
 from .core import CombSuite, PollingConfig, PwwConfig
 from .core.executor import PointTask, SweepExecutor
 from .patterns import PatternConfig
@@ -59,27 +60,13 @@ class ScenarioError(ValueError):
     """Malformed scenario document."""
 
 
-def _ext_presets() -> Dict[str, Callable[[], SystemConfig]]:
-    from .ext import coalesced_portals, emp_system, offload_nic_system
-
-    return {
-        "EMP": emp_system,
-        "OffloadNIC": offload_nic_system,
-        "Portals+coalesce": coalesced_portals,
-    }
-
-
 def resolve_preset(name: str) -> SystemConfig:
-    """Look up a preset across the core and extension registries."""
-    for key, factory in _ext_presets().items():
-        if key.lower() == name.lower():
-            return factory()
+    """Look up a preset (:func:`~repro.config.get_system`)."""
     try:
         return get_system(name)
     except KeyError:
-        known = sorted(PRESETS) + sorted(_ext_presets())
         raise ScenarioError(
-            f"unknown preset {name!r}; known: {known}"
+            f"unknown preset {name!r}; known: {preset_names()}"
         ) from None
 
 
@@ -134,7 +121,11 @@ def _run_experiment(
     cfg_extra = spec.get("config", {})
 
     def run_point(point_kind: str, cfg) -> Dict:
-        return executor.run_one(PointTask(point_kind, system, cfg)).to_dict()
+        try:  # the runners reject out-of-range configs with ValueError
+            point = executor.run_one(PointTask(point_kind, system, cfg))
+        except ValueError as exc:
+            raise ScenarioError(f"{type(cfg).__name__}: {exc}") from None
+        return point.to_dict()
 
     if kind == "polling":
         points = []

@@ -121,6 +121,14 @@ class TestCompareCli:
         assert "GM" in out and "Portals" in out
         assert "offload" in out
 
+    def test_extension_presets_are_selectable(self, capsys):
+        """Every name the default table prints can be asked for."""
+        from repro.cli import main
+
+        rc = main(["compare", "--systems", "OffloadNIC", "--size", "50"])
+        assert rc == 0
+        assert "OffloadNIC" in capsys.readouterr().out
+
     def test_unknown_system_is_argument_error(self, capsys):
         from repro.cli import main
 

@@ -13,6 +13,7 @@ from repro.config import (
     get_system,
     gm_system,
     portals_system,
+    preset_names,
     tcp_system,
 )
 
@@ -43,6 +44,14 @@ class TestPresets:
 
     def test_presets_registry(self):
         assert set(PRESETS) == {"GM", "Portals", "TCP"}
+
+    def test_extension_presets_resolve_by_name(self):
+        """One lookup serves the paper's presets and the extensions'."""
+        assert preset_names() == ["GM", "Portals", "TCP", "EMP",
+                                  "OffloadNIC", "Portals+coalesce"]
+        for name in preset_names():
+            assert get_system(name.lower()).name == name
+        assert get_system("OffloadNIC", seed=3).seed == 3
 
     def test_overrides_via_factory(self):
         s = gm_system(seed=42, cpus_per_node=2)

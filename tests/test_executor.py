@@ -19,19 +19,20 @@ import pytest
 from repro.cli import main
 from repro.config import gm_system, portals_system
 from repro.core import (
+    CombSuite,
     PointCache,
     PointTask,
     PollingConfig,
     PwwConfig,
     SweepExecutor,
     current_executor,
-    default_executor,
     polling_sweep,
     pww_sweep,
     run_task,
     task_key,
 )
 from repro.core.executor import code_salt
+from repro.obs import Observer, use_observer
 
 KB = 1024
 GOLDEN_PATH = Path(__file__).parent / "golden_values.json"
@@ -310,9 +311,24 @@ class TestMemo:
 
 # ----------------------------------------------------------------- resolution
 class TestExecutorResolution:
-    def test_default_is_serial_singleton(self):
-        assert current_executor() is default_executor()
-        assert default_executor().jobs == 1
+    def test_default_is_a_fresh_serial_executor(self):
+        first, second = current_executor(), current_executor()
+        assert first is not second
+        assert first.jobs == 1 and first.cache is None
+
+    def test_repeated_suite_point_is_observed(self):
+        """No memo outlives a call: the second of two identical suite
+        points run without an executor is simulated again, so an
+        observer attached for it sees the whole run."""
+        suite = CombSuite(gm_system())
+        kwargs = dict(msg_bytes=50 * 1024, poll_interval_iters=1_000,
+                      measure_s=0.005, warmup_s=0.002, min_cycles=2)
+        first = suite.polling(**kwargs)
+        observer = Observer()
+        with use_observer(observer):
+            second = suite.polling(**kwargs)
+        assert second == first
+        assert any(ev.kind == "poll_window" for ev in observer.events())
 
     def test_explicit_wins(self):
         ex = SweepExecutor(jobs=1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import PRESETS, portals_system, gm_system
+from repro.config import get_system, gm_system, portals_system, preset_names
 from repro.core import (
     PointTask,
     PollingConfig,
@@ -21,7 +21,6 @@ from repro.ext import (
     smp_system,
 )
 from repro.mpi import build_world
-from repro.scenario import _ext_presets
 from repro.transport.offload import OffloadNicDevice
 
 KB = 1024
@@ -170,12 +169,10 @@ class TestDeviceInConfig:
         assert (task_key(PointTask("polling", stock, cfg))
                 != task_key(PointTask("polling", offload, cfg)))
 
-    @pytest.mark.parametrize(
-        "preset", sorted(PRESETS) + sorted(_ext_presets()))
+    @pytest.mark.parametrize("preset", preset_names())
     def test_device_source_is_salted(self, preset):
         """Every preset's device lives in a module the cache salt hashes,
         so editing a device invalidates its cached points."""
-        factory = PRESETS.get(preset) or _ext_presets()[preset]
-        for endpoint in build_world(factory()).endpoints:
+        for endpoint in build_world(get_system(preset)).endpoints:
             module = type(endpoint.device).__module__.split(".")
             assert module[0] == "repro" and module[1] in _SALT_SOURCES, module

@@ -50,7 +50,12 @@ KB = 1024
 #: the routed per-packet wire path (no mode arms burst batching there).
 _FATTREE8 = dict(ranks=8, topology="fattree", arity=4)
 
-#: The full golden matrix: every recorded sweep and pattern point.
+#: A fan-in polling point: three support ranks feed one worker.
+FANIN_TASK = PointTask("polling", portals_system(),
+                       dataclasses.replace(POLL_CFG, peers=3))
+
+#: The full golden matrix: every recorded sweep and pattern point, plus
+#: the fan-in polling point (last, so the recorded rows keep their ids).
 GOLDEN_TASKS = {
     "GM.polling": PointTask("polling", gm_system(), POLL_CFG),
     "GM.pww": PointTask("pww", gm_system(), PWW_CFG),
@@ -65,6 +70,7 @@ GOLDEN_TASKS = {
     "Portals.allreduce.fattree": PointTask(
         "pattern", portals_system(),
         dataclasses.replace(ALLREDUCE_CFG, **_FATTREE8)),
+    "Portals.polling.3peers": FANIN_TASK,
 }
 
 #: Routed rows -> their golden entry, which records the dispatched-event
@@ -167,6 +173,16 @@ def test_compiled_leg_visible(matrix):
         pytest.skip(f"compiled core not active ({compiled.status()}); "
                     "pure-Python legs covered above")
     assert matrix["pure"][0]["availability"] > 0.0
+
+
+def test_fanin_point_pooled_equals_serial(matrix):
+    """A fan-in point fanned out to a spawn pool comes back bit-identical
+    to the serial run (the pool needs two pending points to start)."""
+    tasks = [FANIN_TASK, GOLDEN_TASKS["GM.polling"]]
+    with SweepExecutor(jobs=2) as ex:
+        pooled = [p.to_dict() for p in ex.run(tasks)]
+    index = list(GOLDEN_TASKS).index("Portals.polling.3peers")
+    assert pooled == [matrix["pure"][index], matrix["pure"][0]]
 
 
 # ------------------------------------------------------------- replicated row

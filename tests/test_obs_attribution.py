@@ -123,6 +123,21 @@ def test_polling_loss_decomposition():
     assert att.causes[CAUSE_POLL] > 0
 
 
+def test_fanin_polling_point_attributes_as_one_polling_row():
+    """A 3-peer polling point emits the polling trace vocabulary and
+    decomposes like the two-node method: one polling row."""
+    cfg = PollingConfig(msg_bytes=100 * 1024, poll_interval_iters=1_000,
+                        measure_s=0.02, warmup_s=0.004, peers=3)
+    (point,), events = _traced_tasks([PointTask("polling", portals_system(),
+                                                cfg)])
+    (att,) = attribute_events(events)
+    assert att.method == "polling"
+    assert att.system == "Portals"
+    assert att.windows == 1
+    assert point.polls > 0
+    assert math.isclose(sum(att.causes.values()), att.total_s, rel_tol=1e-9)
+
+
 def test_multi_point_segmentation():
     """Executor markers cut one merged stream into per-point records, in
     task order, warmup excluded per point."""

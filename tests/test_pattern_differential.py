@@ -14,17 +14,12 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import run_pingpong
-from repro.core import PollingConfig
 from repro.hardware.topology import Crossbar
-from repro.patterns.fanin import run_fanin_polling
 
 KB = 1024
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_values.json").read_text()
 )
-
-FANIN_CFG = PollingConfig(msg_bytes=100 * KB, poll_interval_iters=1_000,
-                          measure_s=0.02, warmup_s=0.004)
 
 
 class TestPingpongDifferential:
@@ -45,14 +40,6 @@ class TestPingpongDifferential:
         pt = run_pingpong(get_system(preset), 100 * KB, repeats=5,
                           warmup_msgs=1, topology=Crossbar())
         assert pt.latency_s == GOLDEN[f"{preset}.pingpong.100KB"]["latency_s"]
-
-
-class TestFanInDifferential:
-    def test_explicit_crossbar_matches_default(self, gm):
-        default = run_fanin_polling(gm, FANIN_CFG, n_peers=3)
-        explicit = run_fanin_polling(gm, FANIN_CFG, n_peers=3,
-                                     topology=Crossbar())
-        assert explicit == default
 
 
 class TestTwoRankPatternDifferential:

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.core import PointCache, PointTask, PollingConfig, SweepExecutor
+from repro.config import get_system
+from repro.core import (
+    PointCache,
+    PointTask,
+    PollingConfig,
+    SweepExecutor,
+    run_polling,
+)
 from repro.core.executor import task_key
 from repro.mpi.collectives import allreduce_msgs, allreduce_rd_msgs
 from repro.patterns import (
@@ -19,7 +28,6 @@ from repro.patterns import (
 )
 from repro.patterns.allreduce import expected_allreduce_msgs
 from repro.patterns.config import validate_config
-from repro.patterns.fanin import run_fanin_polling
 from repro.patterns.halo import HaloPlan
 from repro.patterns.sweep import SweepPlan
 
@@ -285,51 +293,61 @@ class TestScalingFigures:
 FANIN_CFG = PollingConfig(msg_bytes=100 * KB, poll_interval_iters=1_000,
                           measure_s=0.1, warmup_s=0.02)
 
+#: The deleted fan-in driver's points (``FanInPoint.point.to_dict()``) for
+#: GM and Portals x 1, 2, 4, 7 peers under ``FANIN_CFG``; it reported
+#: ``polls=0`` for every point.
+FANIN_RECORDED = json.loads(
+    (Path(__file__).parent / "data" / "fanin_parity.json").read_text())
+
+
+def _fanin(system, peers):
+    return run_polling(system, dataclasses.replace(FANIN_CFG, peers=peers))
+
 
 class TestFanInValidation:
     def test_zero_peers_rejected(self, gm):
         with pytest.raises(ValueError):
-            run_fanin_polling(gm, FANIN_CFG, 0)
+            _fanin(gm, 0)
 
     def test_too_many_peers_rejected(self, gm):
         with pytest.raises(ValueError):
-            run_fanin_polling(gm, FANIN_CFG, 8)  # 8 peers + worker > 8 ports
+            _fanin(gm, 8)  # 8 peers + worker > 8 ports
 
 
 class TestFanIn:
     def test_single_peer_matches_two_node_comb(self, gm):
-        """n_peers=1 must be the ordinary polling method."""
-        from repro.core import run_polling
+        """peers=1 is the ordinary polling method, bit for bit."""
+        assert _fanin(gm, 1) == run_polling(gm, FANIN_CFG)
 
-        fan = run_fanin_polling(gm, FANIN_CFG, 1)
-        two = run_polling(gm, FANIN_CFG)
-        assert fan.point.bandwidth_Bps == pytest.approx(
-            two.bandwidth_Bps, rel=0.02
-        )
-        assert fan.point.availability == pytest.approx(
-            two.availability, abs=0.02
-        )
+    @pytest.mark.parametrize("key", sorted(FANIN_RECORDED))
+    def test_matches_recorded_fanin_driver(self, key):
+        """Every field the old fan-in driver reported is reproduced; the
+        poll count it left at 0 is now counted."""
+        want = FANIN_RECORDED[key]
+        preset, peers = key.split(".")
+        got = _fanin(get_system(preset), int(peers)).to_dict()
+        assert got["polls"] > 0
+        assert {k: v for k, v in got.items() if k != "polls"} == \
+            {k: v for k, v in want.items() if k != "polls"}
 
     def test_gm_stays_bus_bound(self, gm):
         """More peers cannot push GM past the worker's host bus, and the
         worker's availability barely moves (no interrupts)."""
-        one = run_fanin_polling(gm, FANIN_CFG, 1)
-        seven = run_fanin_polling(gm, FANIN_CFG, 7)
+        one = _fanin(gm, 1)
+        seven = _fanin(gm, 7)
         bus = gm.machine.nic.host_dma_bandwidth_Bps
-        assert seven.point.bandwidth_Bps <= bus * 1.05
-        assert seven.point.availability == pytest.approx(
-            one.point.availability, abs=0.05
-        )
+        assert seven.bandwidth_Bps <= bus * 1.05
+        assert seven.availability == pytest.approx(one.availability, abs=0.05)
 
     def test_portals_worker_cpu_saturates(self, portals):
         """Fan-in drives the kernel share up: availability falls while
         aggregate bandwidth gains little."""
-        one = run_fanin_polling(portals, FANIN_CFG, 1)
-        seven = run_fanin_polling(portals, FANIN_CFG, 7)
-        assert seven.point.availability < one.point.availability
-        assert seven.point.bandwidth_Bps < 1.6 * one.point.bandwidth_Bps
+        one = _fanin(portals, 1)
+        seven = _fanin(portals, 7)
+        assert seven.availability < one.availability
+        assert seven.bandwidth_Bps < 1.6 * one.bandwidth_Bps
 
     def test_per_peer_bandwidth_dilutes(self, portals):
-        seven = run_fanin_polling(portals, FANIN_CFG, 7)
-        one = run_fanin_polling(portals, FANIN_CFG, 1)
-        assert seven.per_peer_bandwidth_Bps < 0.5 * one.per_peer_bandwidth_Bps
+        seven = _fanin(portals, 7)
+        one = _fanin(portals, 1)
+        assert seven.bandwidth_Bps / 7 < 0.5 * one.bandwidth_Bps

@@ -146,9 +146,15 @@ class TestCliScenarioErrors:
                     "systems": [{"preset": "GM"}], "experiments": []}),
         json.dumps({"systems": [{"preset": "GM"}],
                     "experiments": [{"kind": "polling", "msg_kb": "big"}]}),
+        json.dumps({"systems": [{"preset": "GM"}],
+                    "experiments": [{"kind": "polling",
+                                     "config": {"peers": 8}}]}),
+        json.dumps({"systems": [{"preset": "GM"}],
+                    "experiments": [{"kind": "pattern",
+                                     "rank_counts": [1]}]}),
     ], ids=["missing-file", "bad-json", "unknown-preset", "unknown-config-key",
             "system-without-preset", "non-numeric-ci-width",
-            "non-numeric-msg-kb"])
+            "non-numeric-msg-kb", "too-many-peers", "one-rank-pattern"])
     def test_bad_spec_is_one_error_line(self, content, tmp_path, capsys):
         from repro.cli import main
 
