@@ -8,9 +8,8 @@ the protocol.
 
 from conftest import BENCH_PER_DECADE  # noqa: F401  (shared sys.path hook)
 
-from repro.config import portals_system
+from repro.config import coalesced_portals, portals_system
 from repro.core import PollingConfig, run_polling
-from repro.ext import coalesced_portals
 
 KB = 1024
 

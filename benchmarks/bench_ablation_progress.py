@@ -5,9 +5,8 @@ offload NIC) collapses the PWW wait phase that library-polled GM cannot
 escape — isolating the single design choice behind Figures 11, 13 and 17.
 """
 
-from repro.config import gm_system
+from repro.config import gm_system, offload_nic_system
 from repro.core import CombSuite, PwwConfig, run_pww
-from repro.ext import offload_nic_system
 
 KB = 1024
 LONG_WORK = 10_000_000

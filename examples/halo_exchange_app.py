@@ -21,8 +21,7 @@ Usage::
 
 import argparse
 
-from repro.config import gm_system, portals_system
-from repro.ext import offload_nic_system
+from repro.config import gm_system, offload_nic_system, portals_system
 from repro.mpi import build_world
 
 KB = 1024

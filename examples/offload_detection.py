@@ -13,7 +13,7 @@ Usage::
 
 from repro import CombSuite, gm_system, portals_system, tcp_system
 from repro.baselines import classify_overlap
-from repro.ext import offload_nic_system
+from repro.config import offload_nic_system
 
 KB = 1024
 

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 
 from ..baselines.pingpong import run_pingpong
 from ..config import SystemConfig
-from ..core.polling import PollingConfig, run_polling
 from ..core.suite import CombSuite
 from ..sim.units import to_mbps, to_usec
 
@@ -67,10 +66,10 @@ def summarize_system(
     """Compute one comparison row (a handful of short runs)."""
     suite = CombSuite(system)
     ping = run_pingpong(system, 0, repeats=8, warmup_msgs=2)
-    plateau = run_polling(system, PollingConfig(
+    plateau = suite.polling(
         msg_bytes=msg_bytes, poll_interval_iters=plateau_interval_iters,
         measure_s=0.04,
-    ))
+    )
     verdict = suite.offload_verdict(msg_bytes=msg_bytes)
     long_pww = suite.pww(
         msg_bytes=msg_bytes, work_interval_iters=10_000_000,

@@ -10,6 +10,10 @@ SAN/LAN switch, and two software stacks:
 * :data:`PORTALS` — kernel-based Portals 3.0 + MPICH/Portals
   (interrupt-driven, kernel buffering and copies, application offload).
 
+Beside them sit a sockets/TCP preset for the netperf baseline and three
+what-if presets beyond the paper (:data:`EXT_PRESETS`): EMP-class Gigabit
+Ethernet, an idealized offload NIC, and Portals with interrupt coalescing.
+
 Absolute values are calibrated so the simulated COMB plateaus land near the
 paper's (GM ≈ 85–90 MB/s, Portals ≈ 50–55 MB/s, knees near 10^5–10^6 loop
 iterations); see EXPERIMENTS.md for the calibration record.
@@ -20,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .sim.units import kib, mbps, mhz, usec
 
@@ -264,7 +268,8 @@ class SystemConfig:
     device: str = ""
     #: Root seed for all stochastic sub-models (jitter, loss injection).
     seed: int = 0
-    #: Number of CPUs per node (1 in the paper; >1 exercises §7 future work).
+    #: Number of CPUs per node (1 in the paper; >1 builds SMP nodes, whose
+    #: polling points report per-CPU availability: §7 future work).
     cpus_per_node: int = 1
 
     def replaced(self, **changes) -> "SystemConfig":
@@ -302,39 +307,95 @@ def tcp_system(**overrides) -> SystemConfig:
     return cfg.replaced(**overrides) if overrides else cfg
 
 
+def emp_system(**overrides) -> SystemConfig:
+    """An EMP-class system (paper §5, ref [10]): zero-copy, OS-bypass,
+    NIC-driven message passing on programmable Gigabit Ethernet NICs.
+
+    Matching, reassembly and retransmission run on the NIC (no kernel, no
+    interrupts) at a per-frame NIC cost; posts are cheap descriptor
+    writes, and 1500-byte frames mean many more packets per message than
+    Myrinet's 4 KB pages.
+    """
+    base = portals_system()
+    nic = NicConfig(
+        mtu_bytes=1500,
+        header_bytes=58,                 # Ethernet+IP-ish framing EMP used
+        wire_bandwidth_Bps=mbps(125),    # 1 Gb/s
+        wire_latency_s=usec(1.0),
+        host_dma_bandwidth_Bps=mbps(91),  # same PCI generation
+        dma_setup_s=usec(1.0),
+        nic_processing_s=usec(0.7),
+    )
+    machine = dataclasses.replace(base.machine, nic=nic)
+    params = dataclasses.replace(
+        base.portals,
+        isend_trap_s=usec(6.0),      # user-level descriptor write
+        irecv_trap_s=usec(6.0),
+        progress_poll_s=usec(0.3),
+        tx_window_pkts=24,           # small frames need a deeper window
+        ack_every=8,
+        rndv_threshold_bytes=1 << 62,  # EMP pushes; NIC-side flow control
+        rto_s=usec(3000),
+    )
+    system = dataclasses.replace(
+        base, name="EMP", machine=machine, portals=params,
+        device="repro.transport.offload:EmpDevice",
+    )
+    return system.replaced(**overrides) if overrides else system
+
+
+def offload_nic_system() -> SystemConfig:
+    """An idealized offload NIC: Portals semantics with matching and
+    delivery on the NIC, no host interrupts, cheap traps, no copies."""
+    base = portals_system()
+    portals = dataclasses.replace(
+        base.portals,
+        isend_trap_s=usec(4.0),
+        irecv_trap_s=usec(4.0),
+        tx_window_pkts=8,
+    )
+    return dataclasses.replace(
+        base, name="OffloadNIC", portals=portals,
+        device="repro.transport.offload:OffloadNicDevice",
+    )
+
+
+def coalesced_portals(window_s: float = usec(40)) -> SystemConfig:
+    """Portals with NIC interrupt coalescing over ``window_s``."""
+    base = portals_system()
+    machine = dataclasses.replace(
+        base.machine,
+        irq=dataclasses.replace(base.machine.irq, coalesce_window_s=window_s),
+    )
+    return dataclasses.replace(base, name="Portals+coalesce", machine=machine)
+
+
 #: Ready-made presets, keyed by their paper names.
-PRESETS = {
+PRESETS: Dict[str, Callable[..., SystemConfig]] = {
     "GM": gm_system,
     "Portals": portals_system,
     "TCP": tcp_system,
 }
 
 
-#: What-if presets beyond the paper, by name -> factory in
-#: :mod:`repro.ext` (imported on lookup: the extensions build on this
-#: module).
-EXT_PRESETS = {
-    "EMP": "emp_system",
-    "OffloadNIC": "offload_nic_system",
-    "Portals+coalesce": "coalesced_portals",
+#: What-if presets beyond the paper, by name.
+EXT_PRESETS: Dict[str, Callable[..., SystemConfig]] = {
+    "EMP": emp_system,
+    "OffloadNIC": offload_nic_system,
+    "Portals+coalesce": coalesced_portals,
 }
 
 
 def preset_names() -> List[str]:
     """Every name :func:`get_system` resolves: the paper's presets, then
-    the extensions'."""
+    the what-if presets."""
     return sorted(PRESETS) + sorted(EXT_PRESETS)
 
 
 def get_system(name: str, **overrides) -> SystemConfig:
-    """Look up a preset or extension preset by (case-insensitive) name."""
-    for key, factory in PRESETS.items():
+    """Look up a preset or what-if preset by (case-insensitive) name."""
+    for key, factory in (*PRESETS.items(), *EXT_PRESETS.items()):
         if key.lower() == name.lower():
-            return factory(**overrides)
-    for key, factory_name in EXT_PRESETS.items():
-        if key.lower() == name.lower():
-            from . import ext
-
-            system = getattr(ext, factory_name)()
+            system = factory()
             return system.replaced(**overrides) if overrides else system
     raise KeyError(f"unknown system preset {name!r}; have {preset_names()}")

@@ -18,7 +18,6 @@ from .suite import (
     OffloadVerdict,
     PAPER_SIZES,
     POLL_GRID,
-    WORK_GRID,
 )
 from .sweep import log_intervals, polling_sweep, polling_tasks, pww_sweep, pww_tasks
 from .workloop import DRY_RUN_ITERS, dry_run_iter_time, work_time
@@ -41,7 +40,6 @@ __all__ = [
     "PwwPoint",
     "Series",
     "SweepExecutor",
-    "WORK_GRID",
     "current_executor",
     "dry_run_iter_time",
     "log_intervals",

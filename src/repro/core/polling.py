@@ -13,6 +13,11 @@ the poll interval varies.
 support ranks (one per extra node) all stream at the single worker, which
 keeps one queue per peer.  ``peers=1`` is the paper's two-node method.
 
+On an SMP worker node (``SystemConfig.cpus_per_node > 1``, the paper's §7
+future work) every extra CPU runs a pure compute load, and the point
+reports each CPU's availability: interrupts land on CPU 0, so the
+uniprocessor figure describes only that processor.
+
 Simulation note: runs of *empty* poll cycles (work + negative test) are
 deterministic, so they are aggregated (:mod:`repro.core.quiescence`) into a
 single CPU occupation that
@@ -30,6 +35,7 @@ from typing import Iterator, List, Optional
 from ..config import SystemConfig
 from ..mpi.request import Request
 from ..mpi.world import World, build_world
+from ..sim.process import Process
 from ..sim.units import msec
 from .accounting import tally_events
 from .quiescence import absorb_empty_cycles
@@ -85,17 +91,25 @@ def run_polling(system: SystemConfig, cfg: PollingConfig) -> PollingPoint:
             f"{cfg.peers} peers + worker exceed the {ports}-port switch"
         )
     world = build_world(system, n_nodes=cfg.peers + 1)
+    engine = world.engine
     state = _WorkerState()
-    worker = world.engine.spawn(
-        _worker(world, cfg, state), name="comb.polling.worker"
-    )
+    worker = engine.spawn(_worker(world, cfg, state),
+                          name="comb.polling.worker")
     for peer in range(1, cfg.peers + 1):
-        world.engine.spawn(_support(world, cfg, peer),
-                           name="comb.polling.support")
-    world.engine.run(worker)
-    tally_events(world.engine.events_processed)
-    assert state.result is not None
-    return state.result
+        engine.spawn(_support(world, cfg, peer), name="comb.polling.support")
+    loads = [
+        engine.spawn(_load(world, worker, cpu), name="comb.polling.load")
+        for cpu in range(1, system.cpus_per_node)
+    ]
+    engine.run(worker)
+    # Each load finishes its current chunk, then returns its CPU's figure.
+    per_cpu = [engine.run(load) for load in loads]
+    tally_events(engine.events_processed)
+    point = state.result
+    assert point is not None
+    if per_cpu:
+        point.availability_per_cpu = [point.availability] + per_cpu
+    return point
 
 
 def _worker(
@@ -240,6 +254,22 @@ def _support(
                 recv_reqs[i] = yield from h.irecv(
                     src=0, nbytes=cfg.msg_bytes, tag=COMB_TAG
                 )
+
+
+def _load(world: World, worker: Process, cpu: int) -> Iterator[object]:
+    """An SMP compute load on CPU ``cpu`` of the worker's node: work in
+    100,000-iteration chunks until the worker is done, then return the
+    fraction of the elapsed time that work got."""
+    engine = world.engine
+    ctx = world.cluster[0].new_context(f"comb.load{cpu}", cpu_index=cpu)
+    iter_s = world.system.machine.cpu.work_iter_s
+    chunk = 100_000
+    iters = 0
+    t0 = engine.now
+    while not worker.triggered:
+        yield ctx.compute(chunk * iter_s)
+        iters += chunk
+    return (iters * iter_s) / (engine.now - t0)
 
 
 def _empty_poll_cost(system: SystemConfig) -> float:

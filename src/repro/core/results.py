@@ -34,6 +34,11 @@ class PollingPoint:
     #: single-shot points, and omitted from ``to_dict`` so seed exports
     #: stay byte-identical.
     replication: Optional[Dict[str, Any]] = None
+    #: Availability of each CPU of an SMP worker node: index 0 is
+    #: :attr:`availability` (the CPU shared with the worker and the
+    #: interrupts), the rest are compute loads.  Empty on one-CPU nodes,
+    #: and then omitted from ``to_dict`` like :attr:`replication`.
+    availability_per_cpu: List[float] = field(default_factory=list)
 
     @property
     def bandwidth_MBps(self) -> float:
@@ -45,6 +50,8 @@ class PollingPoint:
         d = asdict(self)
         if d.get("replication") is None:
             d.pop("replication", None)
+        if not d["availability_per_cpu"]:
+            del d["availability_per_cpu"]
         d["bandwidth_MBps"] = self.bandwidth_MBps
         return d
 

@@ -22,15 +22,13 @@ from .executor import PointTask, SweepExecutor, current_executor
 from .polling import PollingConfig, run_polling
 from .pww import PwwConfig, run_pww
 from .results import PollingPoint, PwwPoint, Series
-from .sweep import log_intervals, polling_sweep, pww_sweep
+from .sweep import log_intervals, polling_sweep
 
 #: Message sizes the paper sweeps (its "10 KB … 300 KB").
 PAPER_SIZES = (10 * 1024, 50 * 1024, 100 * 1024, 300 * 1024)
 
 #: Default poll-interval grid (paper: 10^1 … 10^8 loop iterations).
 POLL_GRID = (1e1, 1e8)
-#: Default work-interval grid (paper: ~10^3 … 10^8).
-WORK_GRID = (1e3, 1e8)
 
 
 @dataclass
@@ -102,20 +100,6 @@ class CombSuite:
     ) -> Series:
         """Polling bandwidth/availability curve over a log interval grid."""
         return polling_sweep(
-            self.system, msg_bytes, log_intervals(lo, hi, per_decade),
-            base=base, executor=self.executor,
-        )
-
-    def pww_curve(
-        self,
-        msg_bytes: int,
-        lo: float = WORK_GRID[0],
-        hi: float = WORK_GRID[1],
-        per_decade: int = 2,
-        base: Optional[PwwConfig] = None,
-    ) -> Series:
-        """PWW curve over a log work-interval grid."""
-        return pww_sweep(
             self.system, msg_bytes, log_intervals(lo, hi, per_decade),
             base=base, executor=self.executor,
         )

@@ -15,11 +15,16 @@ class Node:
     """One cluster node of the simulated platform.
 
     The paper's testbed has a single CPU per node; ``cpus_per_node > 1``
-    builds an SMP node (used by the §7 future-work extension).  Interrupts
-    are routed to CPU 0, as on the era's uniprocessor-interrupt Linux.
+    builds an SMP node (the paper's §7 future work; the polling method
+    then measures every CPU).  Interrupts are routed to CPU 0, as on the
+    era's uniprocessor-interrupt Linux.
     """
 
     def __init__(self, engine: Engine, system: SystemConfig, node_id: int):
+        if system.cpus_per_node < 1:
+            raise ValueError(
+                f"cpus_per_node must be >= 1, got {system.cpus_per_node}"
+            )
         self.engine = engine
         self.system = system
         self.node_id = node_id

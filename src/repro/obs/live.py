@@ -208,10 +208,6 @@ class TelemetryChannel:
         except queue_mod.Empty:
             return None
 
-    def drain_nowait(self) -> Optional[Dict[str, Any]]:
-        """Next pending event, or ``None`` immediately."""
-        return self.drain(timeout_s=0.0)
-
     def close(self) -> None:
         """Release the queue's resources (idempotent)."""
         try:

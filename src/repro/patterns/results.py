@@ -87,11 +87,6 @@ class PatternPoint:
         """Best rank's availability."""
         return max(self.availability_per_rank)
 
-    @property
-    def availability_median(self) -> float:
-        """Median rank availability (== :attr:`availability`)."""
-        return _median(self.availability_per_rank)
-
     def to_dict(self) -> Dict:
         """Plain-dict form (CSV/JSON export)."""
         d = asdict(self)

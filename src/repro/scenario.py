@@ -121,11 +121,7 @@ def _run_experiment(
     cfg_extra = spec.get("config", {})
 
     def run_point(point_kind: str, cfg) -> Dict:
-        try:  # the runners reject out-of-range configs with ValueError
-            point = executor.run_one(PointTask(point_kind, system, cfg))
-        except ValueError as exc:
-            raise ScenarioError(f"{type(cfg).__name__}: {exc}") from None
-        return point.to_dict()
+        return executor.run_one(PointTask(point_kind, system, cfg)).to_dict()
 
     if kind == "polling":
         points = []
@@ -245,9 +241,16 @@ def run_scenario(spec: Union[Dict, str, Path], ledger: Any = None) -> Dict:
             entry = {"label": label, "preset": sys_spec["preset"],
                      "experiments": []}
             for exp in spec["experiments"]:
-                entry["experiments"].append(
-                    _run_experiment(system, exp, executor)
-                )
+                try:
+                    result = _run_experiment(system, exp, executor)
+                except ScenarioError:
+                    raise
+                except ValueError as exc:
+                    # The runners and the world builder reject
+                    # out-of-range configs and systems with ValueError.
+                    raise ScenarioError(
+                        f"{exp.get('kind')} on {label}: {exc}") from None
+                entry["experiments"].append(result)
             results["systems"].append(entry)
     if executor.disagreements:
         results["disagreements"] = [

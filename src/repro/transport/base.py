@@ -13,7 +13,7 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from ..config import ProgressModel, SystemConfig
+from ..config import SystemConfig
 from ..sim.engine import Engine
 from ..sim.events import Event
 
@@ -66,12 +66,6 @@ class Device(abc.ABC):
         self._wakeup: Optional[Event] = None
         #: rank -> node id routing table; set by the world builder.
         self.routes: Dict[int, int] = {}
-
-    # ------------------------------------------------------------ semantics
-    @property
-    @abc.abstractmethod
-    def progress_model(self) -> ProgressModel:
-        """Whether communication progresses without library calls."""
 
     # ------------------------------------------------------------ operations
     @abc.abstractmethod

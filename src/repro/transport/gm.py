@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
-from ..config import ProgressModel, SystemConfig
+from ..config import SystemConfig
 from ..hardware.cpu import CpuContext
 from ..hardware.memory import copy_time
 from ..hardware.nic import SendJob
@@ -87,10 +87,6 @@ class GmDevice(Device):
         node.transport = self
 
     # ------------------------------------------------------------- semantics
-    @property
-    def progress_model(self) -> ProgressModel:
-        return ProgressModel.LIBRARY_POLLED
-
     def has_work(self) -> bool:
         return bool(self.cq) or bool(self._admitted)
 

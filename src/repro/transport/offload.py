@@ -7,7 +7,7 @@
   per 1500-byte frame (paper §5, ref [10]).
 
 Systems select them through ``SystemConfig.device`` (see
-:func:`repro.ext.offload_nic_system` and :func:`repro.ext.emp_system`).
+:func:`repro.config.offload_nic_system` and :func:`repro.config.emp_system`).
 """
 
 from __future__ import annotations

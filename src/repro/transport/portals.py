@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..config import PortalsParams, ProgressModel, SystemConfig
+from ..config import PortalsParams, SystemConfig
 from ..hardware.cpu import CpuContext
 from ..hardware.memory import copy_time
 from ..hardware.nic import SendJob
@@ -129,10 +129,6 @@ class PortalsDevice(Device):
         return system.portals
 
     # ------------------------------------------------------------- semantics
-    @property
-    def progress_model(self) -> ProgressModel:
-        return ProgressModel.OFFLOADED
-
     def has_work(self) -> bool:
         # The kernel does everything; the library never has pending work.
         return False

@@ -79,7 +79,7 @@ class TestWhiteBova:
         assert c.overlap_fraction < 0.3
 
     def test_offload_nic_overlaps(self):
-        from repro.ext import offload_nic_system
+        from repro.config import offload_nic_system
 
         c = classify_overlap(offload_nic_system(), 100 * KB)
         assert c.overlaps

@@ -1,8 +1,18 @@
-"""Tests: SMP extension and what-if systems."""
+"""Tests: SMP nodes and the what-if presets (beyond the paper)."""
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.config import get_system, gm_system, portals_system, preset_names
+from repro.config import (
+    coalesced_portals,
+    emp_system,
+    get_system,
+    offload_nic_system,
+    portals_system,
+    preset_names,
+)
 from repro.core import (
     PointTask,
     PollingConfig,
@@ -13,13 +23,6 @@ from repro.core import (
     task_key,
 )
 from repro.core.executor import _SALT_SOURCES
-from repro.ext import (
-    coalesced_portals,
-    emp_system,
-    offload_nic_system,
-    run_smp_polling,
-    smp_system,
-)
 from repro.mpi import build_world
 from repro.transport.offload import OffloadNicDevice
 
@@ -27,36 +30,54 @@ KB = 1024
 
 FAST = dict(measure_s=0.015, warmup_s=0.003, min_cycles=3)
 
+#: The configuration of every SMP point below.
+SMP_CFG = PollingConfig(msg_bytes=100 * KB, poll_interval_iters=1_000, **FAST)
+
+#: Points of the former separate SMP driver (``worker_availability``,
+#: ``per_cpu_availability``, ``bandwidth_Bps``, ...) for GM and Portals
+#: at 2 and 4 CPUs per node under ``SMP_CFG``.
+SMP_RECORDED = json.loads(
+    (Path(__file__).parent / "data" / "smp_parity.json").read_text())
+
+
+def _smp(system, n_cpus):
+    return run_polling(system.replaced(cpus_per_node=n_cpus), SMP_CFG)
+
 
 class TestSmp:
-    def test_requires_multiple_cpus(self, portals):
-        with pytest.raises(ValueError):
-            run_smp_polling(portals, PollingConfig())
+    @pytest.mark.parametrize("key", sorted(SMP_RECORDED))
+    def test_matches_recorded_smp_driver(self, key):
+        want = SMP_RECORDED[key]
+        preset, n_cpus = key.split(".")
+        got = _smp(get_system(preset), int(n_cpus))
+        assert got.availability == want["worker_availability"]
+        assert got.bandwidth_Bps == want["bandwidth_Bps"]
+        assert got.availability_per_cpu == want["per_cpu_availability"]
+
+    def test_requires_a_cpu(self, gm):
+        with pytest.raises(ValueError, match="cpus_per_node"):
+            _smp(gm, 0)
 
     def test_interrupts_hit_only_cpu0(self, portals):
-        system = smp_system(portals, 2)
-        result = run_smp_polling(system, PollingConfig(
-            msg_bytes=100 * KB, poll_interval_iters=1_000, **FAST,
-        ))
-        assert len(result.per_cpu_availability) == 2
-        cpu0, cpu1 = result.per_cpu_availability
+        point = _smp(portals, 2)
+        assert len(point.availability_per_cpu) == 2
+        cpu0, cpu1 = point.availability_per_cpu
         assert cpu0 < 0.6          # shares with worker + interrupts
         assert cpu1 > 0.97         # untouched by communication
 
     def test_four_way_node(self, portals):
-        system = smp_system(portals, 4)
-        result = run_smp_polling(system, PollingConfig(
-            msg_bytes=100 * KB, poll_interval_iters=1_000, **FAST,
-        ))
-        assert len(result.per_cpu_availability) == 4
-        assert all(a > 0.97 for a in result.per_cpu_availability[1:])
+        point = _smp(portals, 4)
+        assert len(point.availability_per_cpu) == 4
+        assert all(a > 0.97 for a in point.availability_per_cpu[1:])
 
     def test_naive_figure_is_cpu0(self, portals):
-        system = smp_system(portals, 2)
-        result = run_smp_polling(system, PollingConfig(
-            msg_bytes=100 * KB, poll_interval_iters=1_000, **FAST,
-        ))
-        assert result.naive_availability == result.per_cpu_availability[0]
+        point = _smp(portals, 2)
+        assert point.availability == point.availability_per_cpu[0]
+
+    def test_one_cpu_point_has_no_per_cpu_key(self, portals):
+        point = run_polling(portals, SMP_CFG)
+        assert point.availability_per_cpu == []
+        assert "availability_per_cpu" not in point.to_dict()
 
 
 class TestCoalescing:
@@ -77,8 +98,6 @@ class TestCoalescing:
         assert efficiency(better) > efficiency(stock) * 1.03
 
     def test_counts_coalesced_interrupts(self):
-        from repro.mpi import build_world
-
         world = build_world(coalesced_portals())
         engine = world.engine
         h0 = world.endpoint(0).bind(world.cluster[0].new_context("a"))

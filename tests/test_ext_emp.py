@@ -1,9 +1,9 @@
-"""Tests: the EMP-like Gigabit Ethernet offload system (ext)."""
+"""Tests: the EMP-like Gigabit Ethernet offload preset."""
 
 import pytest
 
+from repro.config import emp_system
 from repro.core import CombSuite, PollingConfig, PwwConfig, run_polling, run_pww
-from repro.ext import emp_system
 
 KB = 1024
 

@@ -54,8 +54,12 @@ _FATTREE8 = dict(ranks=8, topology="fattree", arity=4)
 FANIN_TASK = PointTask("polling", portals_system(),
                        dataclasses.replace(POLL_CFG, peers=3))
 
+#: A polling point on 2-CPU nodes: a compute load runs on CPU 1.
+SMP_TASK = PointTask("polling", portals_system(cpus_per_node=2), POLL_CFG)
+
 #: The full golden matrix: every recorded sweep and pattern point, plus
-#: the fan-in polling point (last, so the recorded rows keep their ids).
+#: the fan-in and SMP polling points (last, so the recorded rows keep
+#: their ids).
 GOLDEN_TASKS = {
     "GM.polling": PointTask("polling", gm_system(), POLL_CFG),
     "GM.pww": PointTask("pww", gm_system(), PWW_CFG),
@@ -71,6 +75,7 @@ GOLDEN_TASKS = {
         "pattern", portals_system(),
         dataclasses.replace(ALLREDUCE_CFG, **_FATTREE8)),
     "Portals.polling.3peers": FANIN_TASK,
+    "Portals.polling.smp2": SMP_TASK,
 }
 
 #: Routed rows -> their golden entry, which records the dispatched-event
@@ -182,6 +187,17 @@ def test_fanin_point_pooled_equals_serial(matrix):
     with SweepExecutor(jobs=2) as ex:
         pooled = [p.to_dict() for p in ex.run(tasks)]
     index = list(GOLDEN_TASKS).index("Portals.polling.3peers")
+    assert pooled == [matrix["pure"][index], matrix["pure"][0]]
+
+
+def test_smp_point_pooled_equals_serial(matrix):
+    """An SMP point, per-CPU list included, comes back from a spawn pool
+    bit-identical to the serial run."""
+    tasks = [SMP_TASK, GOLDEN_TASKS["GM.polling"]]
+    with SweepExecutor(jobs=2) as ex:
+        pooled = [p.to_dict() for p in ex.run(tasks)]
+    index = list(GOLDEN_TASKS).index("Portals.polling.smp2")
+    assert len(pooled[0]["availability_per_cpu"]) == 2
     assert pooled == [matrix["pure"][index], matrix["pure"][0]]
 
 

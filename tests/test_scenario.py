@@ -113,6 +113,19 @@ class TestRunScenario:
         exp = results["systems"][0]["experiments"][0]
         assert exp["availability"] == pytest.approx(0.5, abs=0.05)
 
+    def test_cpus_per_node_override_reports_every_cpu(self):
+        results = run_scenario({
+            "systems": [{"preset": "Portals",
+                         "overrides": {"cpus_per_node": 2}}],
+            "experiments": [{"kind": "polling", "msg_kb": 50,
+                             "intervals": [2000],
+                             "config": {"measure_s": 0.015,
+                                        "warmup_s": 0.003}}],
+        })
+        (point,) = results["systems"][0]["experiments"][0]["points"]
+        assert len(point["availability_per_cpu"]) == 2
+        assert point["availability_per_cpu"][0] == point["availability"]
+
     def test_cli_scenario(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -152,9 +165,16 @@ class TestCliScenarioErrors:
         json.dumps({"systems": [{"preset": "GM"}],
                     "experiments": [{"kind": "pattern",
                                      "rank_counts": [1]}]}),
+        json.dumps({"systems": [{"preset": "GM",
+                                 "overrides": {"cpus_per_node": 0}}],
+                    "experiments": [{"kind": "polling"}]}),
+        json.dumps({"systems": [{"preset": "GM",
+                                 "overrides": {"cpus_per_node": 0}}],
+                    "experiments": [{"kind": "pingpong"}]}),
     ], ids=["missing-file", "bad-json", "unknown-preset", "unknown-config-key",
             "system-without-preset", "non-numeric-ci-width",
-            "non-numeric-msg-kb", "too-many-peers", "one-rank-pattern"])
+            "non-numeric-msg-kb", "too-many-peers", "one-rank-pattern",
+            "zero-cpus", "zero-cpus-pingpong"])
     def test_bad_spec_is_one_error_line(self, content, tmp_path, capsys):
         from repro.cli import main
 

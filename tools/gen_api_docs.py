@@ -34,7 +34,6 @@ MODULES = [
     "repro.core",
     "repro.baselines",
     "repro.analysis",
-    "repro.ext",
     "repro.scenario",
     "repro.cli",
 ]
