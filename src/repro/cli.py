@@ -61,7 +61,7 @@ claim comes from replicated ``perfbench/`` records compared with
 ``perfbench/compare.py``.
 
 Live telemetry (``figures``, ``report``): ``--progress`` renders a live
-status line with per-worker heartbeats and a cache-aware ETA;
+status line with point counts, stall flags and a cache-aware ETA;
 ``--progress-stream PATH|FD`` additionally writes every telemetry event
 as schema-versioned NDJSON, which ``comb top <path>`` can attach to from
 another terminal mid-run.  Detached (neither flag), the executor takes
@@ -79,6 +79,7 @@ runs mix).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -140,6 +141,14 @@ def _rank_count(text: str) -> int:
     return _int_at_least(text, 2)  # a pattern needs two ranks
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
@@ -174,7 +183,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
 def _add_progress_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--progress", action="store_true",
-        help="live TTY progress line (point counts, workers, ETA, "
+        help="live TTY progress line (point counts, running points, ETA, "
         "stall flags) on stderr while the sweep runs",
     )
     parser.add_argument(
@@ -455,12 +464,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "top",
         help="attach to a running sweep via its --progress-stream file "
-        "and render live point/worker state",
+        "and render its live point state",
     )
     p.add_argument("stream", help="the sweep's --progress-stream file")
     p.add_argument("--once", action="store_true",
                    help="render one snapshot and exit (no refresh loop)")
-    p.add_argument("--interval", type=float, default=1.0, metavar="S",
+    p.add_argument("--interval", type=_positive_seconds, default=1.0,
+                   metavar="S",
                    help="refresh period in seconds (default: 1.0)")
 
     p = sub.add_parser(
@@ -761,8 +771,7 @@ def _run_top(args: argparse.Namespace) -> int:
               f"sweep with --progress-stream {stream})", file=sys.stderr)
         return 2
     try:
-        return run_top(stream, once=args.once,
-                       interval_s=max(args.interval, 0.1))
+        return run_top(stream, once=args.once, interval_s=args.interval)
     except OSError as exc:
         print(f"error: cannot read stream {stream}: {exc}", file=sys.stderr)
         return 1

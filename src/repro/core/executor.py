@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import (
@@ -49,7 +50,6 @@ from typing import (
 )
 
 from ..config import SystemConfig
-from ..obs import live as _live
 from ..obs.context import current_observer
 from ..obs.lifecycle import (
     MetricsProfile,
@@ -86,6 +86,9 @@ if TYPE_CHECKING:
 
 #: Any method's per-point result record.
 Point = Union[PollingPoint, PwwPoint, PatternPoint]
+
+#: One simulated point's outcome: ``(point, violations, wall_s, events)``.
+_SimOut = Tuple[Point, List[Any], float, int]
 
 #: Default location of the on-disk point cache (relative to the CWD).
 DEFAULT_CACHE_DIR = ".comb_cache"
@@ -141,31 +144,19 @@ def _point_marker(task: PointTask) -> Tuple[str, str, int, int, int]:
             cfg.poll_interval_iters, 0)
 
 
-def _sim_entry(
-    task_and_key: Tuple[PointTask, str], check: bool = False
-) -> Tuple[Point, List[Any], float, int]:
-    """Uniform worker entry: ``(point, violations, wall_s, events)``.
+def _sim_entry(task: PointTask, check: bool = False) -> _SimOut:
+    """Uniform worker entry: one point's :data:`_SimOut`.
 
     Module-level so ``functools.partial`` of it pickles into the spawn
     pool.  Runs in the simulating process (pool worker, or the parent on
     the serial path): ``wall_s`` is measured there, so pool timings
     profile simulation cost, not dispatch latency; ``events`` is that
     process's engine event tally, drained so pooled counts travel back
-    with their points.  The live telemetry hooks are no-ops unless the
-    process is armed as an emitter.  With ``check`` the point runs under
-    the simulation sanitizer, whose violations (frozen dataclasses of
+    with their points.  With ``check`` the point runs under the
+    simulation sanitizer, whose violations (frozen dataclasses of
     primitives) ship back intact.  The point is bit-identical in every
     mode.
     """
-    task, key = task_and_key
-    kind, system, msg_bytes, interval_iters, _warmup_windows = (
-        _point_marker(task)
-    )
-    _live.note_point_start(key, kind, {
-        "system": system,
-        "msg_bytes": msg_bytes,
-        "interval_iters": interval_iters,
-    })
     t0_wall = time.perf_counter()
     if check:
         from ..verify import Sanitizer, use_sanitizer
@@ -177,7 +168,6 @@ def _sim_entry(
     else:
         point, violations = run_task(task), []
     wall_s = time.perf_counter() - t0_wall
-    _live.note_point_end(key, kind, wall_s)
     return point, violations, wall_s, drain_events()
 
 
@@ -572,12 +562,10 @@ class SweepExecutor:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut the worker pool down and release subscribers (idempotent)."""
+        """Shut the worker pool down (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        for subscriber in self.subscribers:
-            subscriber.close()
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -599,15 +587,9 @@ class SweepExecutor:
             from concurrent.futures import ProcessPoolExecutor
 
             self._pool_size = min(self.jobs, max(want, 1))
-            # A subscriber may arm every worker (the telemetry queue
-            # ships through initargs, the only way into a spawn worker).
-            initializer, initargs = next(
-                (s.pool_init for s in self.subscribers if s.pool_init),
-                (None, ()))
             self._pool = ProcessPoolExecutor(
                 self._pool_size,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=initializer, initargs=initargs)
+                mp_context=multiprocessing.get_context("spawn"))
         return self._pool
 
     def publish(self, kind: str, **fields: Any) -> None:
@@ -817,32 +799,60 @@ class SweepExecutor:
         subs: List[Subscriber],
     ) -> None:
         """Simulate a batch's misses (pooled or inline) into ``results``
-        and the cache, in task order."""
-        jobs = [(task, key) for _i, key, task in pending]
-        entry = partial(_sim_entry, check=self.check)
-        raw: Iterable[Tuple[Point, List[Any], float, int]]
-        if pooled:
-            assert self._pool is not None
-            # One task per dispatch: tasks are coarse (whole simulations)
-            # and dynamic dispatch balances wildly uneven point costs.
-            # map keeps result order == task order, preserving
-            # determinism, and raises BrokenProcessPool if a worker dies.
-            raw = self._pool.map(entry, jobs)
-        else:
-            def inline() -> Iterator[Tuple[Point, List[Any], float, int]]:
-                for task, key in jobs:  # announced as this process starts it
-                    publish(subs, "point_start", key=key, task=task,
-                            marker=_point_marker(task))
-                    yield entry((task, key))
-
-            raw = inline()
-        for (i, key, task), (point, violations, wall_s, events) in zip(
-                pending, raw):
+        and the cache; violations are collected in task order."""
+        found: List[List[Any]] = [[] for _ in pending]
+        for n, (point, violations, wall_s, events) in self._sim_points(
+                pending, pooled, subs):
+            i, key, task = pending[n]
             results[i] = point
+            found[n] = violations
             self._store(key, task.kind, point)
-            self.violations.extend(violations)
             publish(subs, "point_end", key=key, task=task, wall_s=wall_s,
                     events=events)
+        for violations in found:
+            self.violations.extend(violations)
+
+    def _sim_points(
+        self,
+        pending: Sequence[Tuple[int, str, PointTask]],
+        pooled: bool,
+        subs: List[Subscriber],
+    ) -> Iterator[Tuple[int, _SimOut]]:
+        """Start the pending points in task order, announcing each, and
+        yield ``(n, outcome)`` for ``pending[n]`` as each finishes.
+
+        Inline, one point runs at a time.  Pooled, each point is its own
+        task (tasks are whole simulations, so dynamic dispatch balances
+        uneven point costs), and no more are submitted than the pool has
+        workers, so a started point is a running one; points finish in
+        completion order.  A dead worker raises
+        :class:`~concurrent.futures.process.BrokenProcessPool`.
+        """
+        entry = partial(_sim_entry, check=self.check)
+
+        def start(n: int) -> PointTask:
+            _i, key, task = pending[n]
+            publish(subs, "point_start", key=key, task=task,
+                    marker=_point_marker(task), pooled=pooled)
+            return task
+
+        if not pooled:
+            for n in range(len(pending)):
+                yield n, entry(start(n))
+            return
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        assert self._pool is not None
+        queued = iter(range(len(pending)))
+        running: Dict[Any, int] = {}
+        while True:
+            for n in islice(queued, self._pool_size - len(running)):
+                running[self._pool.submit(entry, start(n))] = n
+            if not running:
+                return
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=running.__getitem__):
+                yield running.pop(future), future.result()
 
 
 # --------------------------------------------------------- default resolution

@@ -107,12 +107,6 @@ def build_world(
 
             tracer = MultiTracer([a.tracer for a in attachments])
     engine = Engine(trace=tracer)
-    # Live-telemetry seam: expose the engine's clock/event counters to
-    # this process's heartbeat thread.  One module-global read when no
-    # telemetry is armed; never influences the simulation.
-    from ..obs.live import attach_engine_probe
-
-    attach_engine_probe(engine)
     cluster = Cluster(engine, system, n_nodes=n_nodes, topology=topology)
     devices = [
         make_device(engine, cluster[i], i, system) for i in range(n_nodes)

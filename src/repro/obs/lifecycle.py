@@ -2,17 +2,20 @@
 
 :class:`~repro.core.executor.SweepExecutor` hands every ``(kind,
 fields)`` event of its points' lifecycle, named after the live stream's
-schema-v1 kinds, to a list of subscribers (none when detached):
+kinds, to a list of subscribers (none when detached).  The executor
+publishes every event itself, in the parent process, for serial and
+pooled points alike:
 
 * ``figure_start`` / ``figure_end`` (``figure``, ``wall_s``);
 * ``point_cached`` (``key``, ``task``, ``outcome``: ``hit``, or a
   ``duplicate`` of a point pending in the same batch);
 * ``batch`` (``n_tasks``, ``n_hits``, ``n_pending``, lookup walls
   ``hit_s`` / ``miss_s``, ``evicted`` records, worker ``slots``);
-* ``point_start`` (``key``, ``task``, ``marker``): the parent is about to
-  simulate a point itself;
+* ``point_start`` (``key``, ``task``, ``marker``, ``pooled``): a point
+  starts simulating, inline (``pooled`` false) or handed to the pool;
+  published in task order;
 * ``point_end`` (``key``, ``task``, ``wall_s``, ``events``): a point came
-  back from simulation, serial or pooled;
+  back from simulation; pooled points end in completion order;
 * ``replicated`` (``reps``, ``reason``, ``disagreements``): executor-only.
 
 Subscribers only read events: observed points are bit-identical.
@@ -21,7 +24,7 @@ Subscribers only read events: observed points are bit-identical.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from . import live
 from .metrics import DEFAULT_LATENCY_BUCKETS_S, MetricsRegistry
@@ -33,14 +36,8 @@ _REPLICATE_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0, 16.0, 32.0, 64.0)
 class Subscriber:
     """Receives lifecycle events; ignores the kinds it does not use."""
 
-    #: ``(initializer, initargs)`` every pool worker runs, or ``()``.
-    pool_init: Tuple[Any, ...] = ()
-
     def __call__(self, kind: str, fields: Dict[str, Any]) -> None:
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release what the subscriber holds (on executor close)."""
 
 
 def publish(subscribers: List[Subscriber], kind: str, **fields: Any) -> None:
@@ -107,22 +104,31 @@ class MetricsProfile(Subscriber):
 class PointRecords(Subscriber):
     """The run ledger's feed: one outcome record per point, stamped with
     the figure in flight (the arguments of
-    :meth:`~repro.obs.ledger.RunLedger.record_point`)."""
+    :meth:`~repro.obs.ledger.RunLedger.record_point`).  A simulated
+    point's record is placed when it starts, so records keep task order
+    when pooled points finish out of order; its wall comes at its end."""
 
     def __init__(self, records: List[Dict[str, Any]]) -> None:
         self.records = records
         self.figure: Optional[str] = None
+        #: Key -> record of each point started and not yet ended.
+        self._open: Dict[str, Dict[str, Any]] = {}
 
     def __call__(self, kind: str, fields: Dict[str, Any]) -> None:
-        if kind == "point_cached" or kind == "point_end":
+        if kind == "point_cached" or kind == "point_start":
             task = fields["task"]
-            self.records.append({
+            record = {
                 "key": fields["key"], "kind": task.kind,
                 "system": task.system.name,
                 "outcome": fields.get("outcome", "miss"),
-                "wall_s": fields.get("wall_s"), "seed": task.system.seed,
+                "wall_s": None, "seed": task.system.seed,
                 "figure": self.figure,
-            })
+            }
+            self.records.append(record)
+            if kind == "point_start":
+                self._open[fields["key"]] = record
+        elif kind == "point_end":
+            self._open.pop(fields["key"])["wall_s"] = fields["wall_s"]
         elif kind == "figure_start":
             self.figure = fields["figure"]
         elif kind == "figure_end":
@@ -130,40 +136,31 @@ class PointRecords(Subscriber):
 
 
 class TelemetryFeed(Subscriber):
-    """Parent-side events into a live telemetry channel.
-
-    Simulated points announce themselves from the process running them
-    (:func:`~repro.obs.live.note_point_start` / ``note_point_end``): pool
-    workers are armed through :attr:`pool_init`, and the parent arms
-    itself before it first simulates a point inline.
-    """
+    """Lifecycle events into a live telemetry channel."""
 
     def __init__(self, channel: live.TelemetryChannel) -> None:
         self.channel = channel
-        self.pool_init = (live.pool_worker_init,
-                          (channel.queue, channel.heartbeat_s))
-        self._armed = False
 
     def __call__(self, kind: str, fields: Dict[str, Any]) -> None:
-        if kind == "point_cached":
+        emit = self.channel.emit
+        if kind == "point_start":
+            _kind, system, msg_bytes, interval_iters, _windows = \
+                fields["marker"]
+            emit(kind, key=fields["key"], method=fields["task"].kind,
+                 system=system, msg_bytes=msg_bytes,
+                 interval_iters=interval_iters)
+        elif kind == "point_end":
+            emit(kind, key=fields["key"], method=fields["task"].kind,
+                 wall_s=fields["wall_s"])
+        elif kind == "point_cached":
             task = fields["task"]
-            self.channel.emit(kind, key=fields["key"], method=task.kind,
-                              system=task.system.name,
-                              outcome=fields["outcome"])
+            emit(kind, key=fields["key"], method=task.kind,
+                 system=task.system.name, outcome=fields["outcome"])
         elif kind == "batch":
-            self.channel.emit(kind, n_tasks=fields["n_tasks"],
-                              n_hits=fields["n_hits"],
-                              n_pending=fields["n_pending"])
+            emit(kind, n_tasks=fields["n_tasks"], n_hits=fields["n_hits"],
+                 n_pending=fields["n_pending"])
         elif kind == "figure_start" or kind == "figure_end":
-            self.channel.emit(kind, **fields)
-        elif kind == "point_start" and not live.worker_armed():
-            live.arm_worker(*self.pool_init[1])
-            self._armed = True
-
-    def close(self) -> None:
-        if self._armed:
-            live.disarm_worker()
-            self._armed = False
+            emit(kind, **fields)
 
 
 class TraceMarkers(Subscriber):
@@ -176,9 +173,10 @@ class TraceMarkers(Subscriber):
         self._open = False
 
     def __call__(self, kind: str, fields: Dict[str, Any]) -> None:
-        if kind == "point_start":
+        inline = kind == "point_start" and not fields["pooled"]
+        if inline:
             self.tracer.record(0.0, "executor", "point_start",
                                fields["marker"])
         elif kind == "point_cached" or (kind == "point_end" and self._open):
             self.tracer.record(0.0, "executor", kind, (fields["task"].kind,))
-        self._open = kind == "point_start"
+        self._open = inline

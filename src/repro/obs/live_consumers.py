@@ -3,17 +3,17 @@
 :class:`TelemetryHub` drains a :class:`~repro.obs.live.TelemetryChannel`
 on a background thread, folds every event into a :class:`SweepState`,
 and fans events out to consumers (plain callables taking one event
-dict).  On top of the raw worker events it synthesizes three kinds of
+dict).  On top of the executor's events it synthesizes three kinds of
 its own — ``stall`` (a running point exceeding
-:data:`DEFAULT_STALL_FACTOR` × its predicted cost, or a worker whose
-heartbeats stopped mid-point), ``progress`` (periodic counters + ETA
-from the cache-aware :class:`CostModel`), and ``run_end`` — which are
-delivered to consumers directly, never through the droppable queue.
+:data:`DEFAULT_STALL_FACTOR` × its predicted cost on the parent's wall
+clock), ``progress`` (periodic counters + ETA from the cache-aware
+:class:`CostModel`), and ``run_end`` — which are delivered to consumers
+directly, never through the droppable queue.
 
 Shipped consumers: :class:`StreamWriter` (NDJSON to a path or inherited
-fd — the machine-readable stream ``comb top`` and the future HTTP layer
-read) and :class:`ProgressRenderer` (single-line TTY progress plus a
-final stall/drop report).  :func:`run_top` is the ``comb top`` entry
+fd — the machine-readable stream ``comb top`` reads) and
+:class:`ProgressRenderer` (single-line TTY progress plus a final
+stall/drop report).  :func:`run_top` is the ``comb top`` entry
 point: it attaches to a running sweep by tailing the stream file and
 re-deriving :class:`SweepState` from the lines written so far.
 """
@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import os
-import queue as queue_mod
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, IO, List, Optional, Set
+from typing import Any, Callable, Dict, IO, List, Optional
 
 from .live import TelemetryChannel, make_event, validate_stream_event
 
@@ -40,30 +39,8 @@ DEFAULT_STALL_FACTOR = 8.0
 #: Never flag a stall before this much elapsed wall, whatever the
 #: prediction says — tiny points make k× predictions meaninglessly small.
 DEFAULT_STALL_FLOOR_S = 2.0
-#: A worker whose last event is older than ``factor × heartbeat_s``
-#: while it owns a running point is presumed lost (killed / wedged).
-DEFAULT_HEARTBEAT_LOSS_FACTOR = 6.0
 #: Period of the hub's synthetic ``progress`` events.
 DEFAULT_PROGRESS_PERIOD_S = 1.0
-#: Longest :meth:`TelemetryHub.close` waits for queued events to arrive.
-CLOSE_FLUSH_S = 5.0
-
-#: Put through the queue at close: every event before it was emitted
-#: before close began.  Not an event (it has no ``kind``).
-_CLOSE_SENTINEL: Dict[str, Any] = {"hub_close": True}
-#: Drop-count kind for events still in flight at the close deadline.
-_UNFLUSHED = "unflushed_at_close"
-#: What :meth:`TelemetryHub._drain_one` returns on an empty queue.
-_EMPTY = object()
-
-
-def _outstanding(queue: Any) -> int:
-    """Items put into ``queue`` and not yet taken (0 where the platform
-    cannot tell)."""
-    try:
-        return int(queue.qsize())
-    except NotImplementedError:  # pragma: no cover - macOS
-        return 0
 
 
 class CostModel:
@@ -103,33 +80,15 @@ class CostModel:
 class _RunningPoint:
     """Parent-side view of one in-flight point."""
 
-    __slots__ = ("key", "method", "system", "pid", "start_wall_s", "stalled")
+    __slots__ = ("key", "method", "system", "start_wall_s", "stalled")
 
-    def __init__(self, key: str, method: str, system: str, pid: int,
+    def __init__(self, key: str, method: str, system: str,
                  start_wall_s: float) -> None:
         self.key = key
         self.method = method
         self.system = system
-        self.pid = pid
         self.start_wall_s = start_wall_s
         self.stalled = False
-
-
-class _WorkerView:
-    """Parent-side view of one worker process, from its heartbeats."""
-
-    __slots__ = ("pid", "last_seen_wall_s", "sim_now_s", "events_processed",
-                 "points_done", "current_key", "dropped", "lost")
-
-    def __init__(self, pid: int, now_wall_s: float) -> None:
-        self.pid = pid
-        self.last_seen_wall_s = now_wall_s
-        self.sim_now_s: Optional[float] = None
-        self.events_processed = 0
-        self.points_done = 0
-        self.current_key: Optional[str] = None
-        self.dropped: Dict[str, int] = {}
-        self.lost = False
 
 
 class SweepState:
@@ -153,25 +112,14 @@ class SweepState:
         self.wall_s: Optional[float] = None
         self.eta_s: Optional[float] = None
         self.running: Dict[str, _RunningPoint] = {}
-        self.workers: Dict[int, _WorkerView] = {}
         self.stalls: List[Dict[str, Any]] = []
-        #: Latest cumulative per-kind drops reported by each pid.
-        self.worker_dropped: Dict[int, Dict[str, int]] = {}
-        #: Parent-side queue drops (merged in by the hub at run end).
-        self.parent_dropped: Dict[str, int] = {}
+        #: Events lost to a full queue, per kind (from ``run_end``).
+        self.dropped: Dict[str, int] = {}
         self.invalid_lines = 0
 
     # ---------------------------------------------------------------- fold
     def apply(self, doc: Dict[str, Any]) -> None:
         kind = doc.get("kind")
-        pid = doc.get("pid")
-        now_wall_s = float(doc.get("t_wall_s", 0.0) or 0.0)
-        if isinstance(pid, int) and kind in ("heartbeat", "point_start",
-                                             "point_end"):
-            worker = self.workers.get(pid)
-            if worker is None:
-                worker = self.workers[pid] = _WorkerView(pid, now_wall_s)
-            worker.last_seen_wall_s = max(worker.last_seen_wall_s, now_wall_s)
         if kind == "run_start":
             self.run_id = doc.get("run_id")
             self.cmd = doc.get("cmd")
@@ -188,49 +136,17 @@ class SweepState:
             key = str(doc.get("key"))
             self.running[key] = _RunningPoint(
                 key, str(doc.get("method")), str(doc.get("system")),
-                pid if isinstance(pid, int) else 0, now_wall_s,
+                float(doc.get("t_wall_s", 0.0) or 0.0),
             )
-            if isinstance(pid, int) and pid in self.workers:
-                self.workers[pid].current_key = key
         elif kind == "point_end":
             self.done += 1
             self.running.pop(str(doc.get("key")), None)
-            if isinstance(pid, int):
-                dropped = doc.get("dropped")
-                if isinstance(dropped, dict):
-                    self.worker_dropped[pid] = dict(dropped)
-                worker = self.workers.get(pid)
-                if worker is not None:
-                    worker.current_key = None
-                    worker.points_done = int(
-                        doc.get("points_done", worker.points_done + 1)
-                        or worker.points_done + 1
-                    )
-        elif kind == "heartbeat" and isinstance(pid, int):
-            worker = self.workers[pid]
-            sim_now_s = doc.get("sim_now_s")
-            worker.sim_now_s = (
-                float(sim_now_s) if isinstance(sim_now_s, (int, float))
-                else None
-            )
-            worker.events_processed = int(doc.get("events_processed", 0) or 0)
-            worker.points_done = int(doc.get("points_done", 0) or 0)
-            current_key = doc.get("current_key")
-            worker.current_key = (
-                current_key if isinstance(current_key, str) else None
-            )
-            dropped = doc.get("dropped")
-            if isinstance(dropped, dict):
-                self.worker_dropped[pid] = dict(dropped)
         elif kind == "stall":
             self.stall_count += 1
             self.stalls.append(dict(doc))
             point = self.running.get(str(doc.get("key")))
             if point is not None:
                 point.stalled = True
-            lost_pid = doc.get("lost_pid")
-            if isinstance(lost_pid, int) and lost_pid in self.workers:
-                self.workers[lost_pid].lost = True
         elif kind == "progress":
             eta_s = doc.get("eta_s")
             self.eta_s = (
@@ -244,7 +160,7 @@ class SweepState:
             )
             dropped = doc.get("dropped")
             if isinstance(dropped, dict):
-                self.parent_dropped = {
+                self.dropped = {
                     str(k): int(v) for k, v in dropped.items()
                     if isinstance(v, int)
                 }
@@ -253,14 +169,6 @@ class SweepState:
     @property
     def pending(self) -> int:
         return max(self.tasks - self.cached - self.done, 0)
-
-    def total_dropped(self) -> Dict[str, int]:
-        """All known telemetry loss: parent queue + every worker."""
-        totals: Dict[str, int] = dict(self.parent_dropped)
-        for per_kind in self.worker_dropped.values():
-            for kind, n in per_kind.items():
-                totals[kind] = totals.get(kind, 0) + int(n)
-        return {k: totals[k] for k in sorted(totals)}
 
 
 class TelemetryHub:
@@ -279,7 +187,6 @@ class TelemetryHub:
         consumers: Optional[List[Consumer]] = None,
         stall_factor: float = DEFAULT_STALL_FACTOR,
         stall_floor_s: float = DEFAULT_STALL_FLOOR_S,
-        heartbeat_loss_factor: float = DEFAULT_HEARTBEAT_LOSS_FACTOR,
         progress_period_s: float = DEFAULT_PROGRESS_PERIOD_S,
         clock: Callable[[], float] = time.time,
     ) -> None:
@@ -289,17 +196,12 @@ class TelemetryHub:
         self.cost_model = CostModel()
         self.stall_factor = stall_factor
         self.stall_floor_s = stall_floor_s
-        self.heartbeat_loss_s = max(
-            heartbeat_loss_factor * channel.heartbeat_s, stall_floor_s
-        )
         self.progress_period_s = progress_period_s
         self.consumer_errors: List[str] = []
         self._clock = clock
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._flagged_stalls: Set[str] = set()
-        self._lost_pids: Set[int] = set()
         self._last_progress_wall_s = 0.0
         self._start_wall_s = clock()
 
@@ -314,67 +216,27 @@ class TelemetryHub:
         self._thread.start()
 
     def close(self) -> None:
-        """Stop draining, flush the queue, emit the final ``run_end``."""
+        """Stop draining, handle what is still queued, emit the final
+        ``run_end``."""
         self._stop.set()
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
+            self._thread.join()
             self._thread = None
-        self._flush()
+        while (doc := self.channel.drain(0.0)) is not None:
+            self._handle(doc)
         self._check_stalls()
         with self._lock:
             state = self.state
-            state.parent_dropped = dict(sorted(self.channel.dropped.items()))
             self._handle(make_event(
                 "run_end",
                 wall_s=self._clock() - self._start_wall_s,
                 done=state.done,
                 cached=state.cached,
                 stalls=state.stall_count,
-                dropped=state.total_dropped(),
+                dropped=dict(sorted(self.channel.dropped.items())),
             ))
-        self.channel.close()
 
     # ----------------------------------------------------------- internals
-    def _flush(self) -> None:
-        """Handle every event enqueued before close, within a deadline.
-
-        ``Queue.put`` hands items to a feeder thread, so events emitted
-        just before close may not be readable yet.  A sentinel put now
-        queues behind them; everything before it is handled.  Events
-        still outstanding at the deadline are counted as dropped.
-        """
-        queue = self.channel.queue
-        deadline_s = time.monotonic() + CLOSE_FLUSH_S
-        sent = arrived = False
-        while not sent and time.monotonic() < deadline_s:
-            try:
-                queue.put_nowait(_CLOSE_SENTINEL)
-                sent = True
-            except queue_mod.Full:  # make room: nobody else drains now
-                self._drain_one(0.05)
-            except (OSError, ValueError):  # queue torn down
-                return
-        while sent and not arrived:
-            doc = self._drain_one(max(deadline_s - time.monotonic(), 0.0))
-            if doc is _EMPTY:
-                break
-            arrived = doc == _CLOSE_SENTINEL
-        if not arrived:
-            lost = _outstanding(queue) - sent
-            if lost > 0:
-                dropped = self.channel.dropped
-                dropped[_UNFLUSHED] = dropped.get(_UNFLUSHED, 0) + lost
-
-    def _drain_one(self, timeout_s: float) -> Any:
-        """Handle one queued event; return it (:data:`_EMPTY` if none)."""
-        try:
-            doc = self.channel.queue.get(timeout=timeout_s)
-        except queue_mod.Empty:
-            return _EMPTY
-        if isinstance(doc, dict) and doc != _CLOSE_SENTINEL:
-            self._handle(doc)
-        return doc
-
     def _loop(self) -> None:
         while not self._stop.is_set():
             doc = self.channel.drain(timeout_s=0.2)
@@ -421,45 +283,23 @@ class TelemetryHub:
             ))
 
     def _check_stalls(self) -> None:
+        """Flag, once, each running point whose elapsed wall on the
+        parent's clock exceeds ``stall_factor`` × its predicted cost."""
         now_wall_s = self._clock()
         with self._lock:
             for point in list(self.state.running.values()):
-                if point.key in self._flagged_stalls:
+                predicted_s = self.cost_model.predicted_s(point.method)
+                if point.stalled or predicted_s is None:
                     continue
                 elapsed_s = now_wall_s - point.start_wall_s
-                predicted_s = self.cost_model.predicted_s(point.method)
-                slow = (
-                    predicted_s is not None
-                    and elapsed_s > max(self.stall_factor * predicted_s,
-                                        self.stall_floor_s)
-                )
-                worker = self.state.workers.get(point.pid)
-                silent_s = (
-                    now_wall_s - worker.last_seen_wall_s
-                    if worker is not None else elapsed_s
-                )
-                lost = (
-                    silent_s > self.heartbeat_loss_s
-                    and elapsed_s > self.stall_floor_s
-                )
-                if not slow and not lost:
+                if elapsed_s <= max(self.stall_factor * predicted_s,
+                                    self.stall_floor_s):
                     continue
-                self._flagged_stalls.add(point.key)
-                fields: Dict[str, Any] = {
-                    "key": point.key,
-                    "method": point.method,
-                    "elapsed_s": elapsed_s,
-                    "predicted_s": predicted_s,
-                    "factor": (
-                        elapsed_s / predicted_s
-                        if predicted_s else 0.0
-                    ),
-                }
-                if lost and point.pid not in self._lost_pids:
-                    self._lost_pids.add(point.pid)
-                    fields["lost_pid"] = point.pid
-                    fields["silent_s"] = silent_s
-                self._handle(make_event("stall", **fields))
+                self._handle(make_event(
+                    "stall", key=point.key, method=point.method,
+                    elapsed_s=elapsed_s, predicted_s=predicted_s,
+                    factor=elapsed_s / predicted_s if predicted_s else 0.0,
+                ))
 
 
 class StreamWriter:
@@ -475,7 +315,9 @@ class StreamWriter:
     def __init__(self, target: str) -> None:
         self.target = target
         if target.isdigit():
-            self._fh: IO[str] = os.fdopen(int(target), "w")
+            # The fd is borrowed (say, stdout): close flushes, never
+            # closes it.
+            self._fh: IO[str] = os.fdopen(int(target), "w", closefd=False)
         else:
             path = Path(target)
             if path.parent and not path.parent.exists():
@@ -511,14 +353,9 @@ class ProgressRenderer:
             self._end_line()
             key = str(doc.get("key"))[:12]
             elapsed_s = float(doc.get("elapsed_s", 0.0) or 0.0)
-            lost_pid = doc.get("lost_pid")
-            why = (
-                f"worker {lost_pid} silent" if lost_pid is not None
-                else f"{doc.get('factor', 0.0):.1f}x predicted"
-            )
             self._out.write(
                 f"comb: stall: point {key} running {elapsed_s:.1f}s "
-                f"({why})\n"
+                f"({doc.get('factor', 0.0):.1f}x predicted)\n"
             )
         elif kind == "run_end":
             self._end_line()
@@ -559,7 +396,7 @@ class ProgressRenderer:
                 f"comb: stall report: {key} ({stall.get('method')}) "
                 f"ran {float(stall.get('elapsed_s', 0.0) or 0.0):.1f}s\n"
             )
-        dropped = state.total_dropped()
+        dropped = state.dropped
         if dropped:
             total = sum(dropped.values())
             detail = ", ".join(f"{k}={v}" for k, v in dropped.items())
@@ -590,7 +427,7 @@ def load_stream_state(stream_path: Path) -> SweepState:
 
 
 def render_top(state: SweepState, now_wall_s: Optional[float] = None) -> str:
-    """``comb top``'s screen: run header, workers, running points."""
+    """``comb top``'s screen: run header, running points, stalls."""
     if now_wall_s is None:
         now_wall_s = time.time()
     lines: List[str] = []
@@ -609,31 +446,12 @@ def render_top(state: SweepState, now_wall_s: Optional[float] = None) -> str:
     if state.wall_s is not None:
         progress += f", wall {state.wall_s:.1f}s"
     lines.append(progress)
-    if state.workers:
-        lines.append(
-            f"  {'pid':>8s} {'state':8s} {'points':>6s} "
-            f"{'events':>12s} {'sim-clock':>12s}  current"
-        )
-        for pid in sorted(state.workers):
-            worker = state.workers[pid]
-            label = "lost" if worker.lost else (
-                "busy" if worker.current_key else "idle"
-            )
-            sim = (
-                f"{worker.sim_now_s:.6f}s"
-                if worker.sim_now_s is not None else "-"
-            )
-            current = (worker.current_key or "-")[:16]
-            lines.append(
-                f"  {pid:>8d} {label:8s} {worker.points_done:>6d} "
-                f"{worker.events_processed:>12d} {sim:>12s}  {current}"
-            )
     for point in sorted(state.running.values(), key=lambda p: p.key):
         elapsed_s = max(now_wall_s - point.start_wall_s, 0.0)
         mark = " STALLED" if point.stalled else ""
         lines.append(
             f"  running {point.key[:16]} {point.method}/{point.system} "
-            f"pid={point.pid} {elapsed_s:.1f}s{mark}"
+            f"{elapsed_s:.1f}s{mark}"
         )
     for stall in state.stalls:
         lines.append(
@@ -641,7 +459,7 @@ def render_top(state: SweepState, now_wall_s: Optional[float] = None) -> str:
             f"({stall.get('method')}) "
             f"{float(stall.get('elapsed_s', 0.0) or 0.0):.1f}s"
         )
-    dropped = state.total_dropped()
+    dropped = state.dropped
     if dropped:
         lines.append(
             "  dropped: " + ", ".join(f"{k}={v}" for k, v in dropped.items())
@@ -681,7 +499,6 @@ def run_top(
 __all__ = [
     "Consumer",
     "CostModel",
-    "DEFAULT_HEARTBEAT_LOSS_FACTOR",
     "DEFAULT_PROGRESS_PERIOD_S",
     "DEFAULT_STALL_FACTOR",
     "DEFAULT_STALL_FLOOR_S",

@@ -2,43 +2,37 @@
 
 The telemetry contract under test, in order of importance:
 
-1. **Honest loss** — a saturated queue drops events but *counts* them,
-   per kind per process, and later lifecycle events carry the counts.
-2. **Crash visibility** — a worker killed mid-point surfaces as a
-   heartbeat-loss stall naming the lost pid, and the run still
-   completes with a final report.
+1. **One emitter** — the parent publishes every lifecycle event, for
+   serial and pooled points alike; pool workers emit nothing.
+2. **Honest loss** — a saturated queue drops events but *counts* them
+   per kind, and the final ``run_end`` states the counts.
 3. **Bit-identity** — attaching a channel never changes simulated
    results, serial or pooled.
 """
 
 import io
 import json
-import multiprocessing
 import os
-import time
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cli import main
 from repro.config import gm_system
 from repro.core import PointTask, PollingConfig, SweepExecutor
+from repro.core import executor as executor_mod
 from repro.obs import chrome_trace
 from repro.obs.context import use_observer
 from repro.obs.export import EXECUTOR_PID
+from repro.obs.lifecycle import Subscriber
 from repro.obs.live import (
     TELEMETRY_SCHEMA_VERSION,
     TelemetryChannel,
-    arm_worker,
-    attach_engine_probe,
-    disarm_worker,
     make_event,
-    note_point_end,
-    note_point_start,
-    pool_worker_init,
     validate_stream_event,
     validate_stream_line,
-    worker_armed,
 )
-from repro.obs import live_consumers
 from repro.obs.live_consumers import (
     CostModel,
     ProgressRenderer,
@@ -63,26 +57,10 @@ TASKS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _disarmed():
-    """Never leak an armed parent emitter into another test."""
-    disarm_worker()
-    yield
-    disarm_worker()
-
-
-def _point_start_fields():
-    return {"system": "GM", "msg_bytes": 10 * KB, "interval_iters": 1_000}
-
-
-def _drain_all(channel, timeout_s=2.0):
-    """Every event currently reachable in the queue (feeder-thread safe)."""
+def _drain_all(channel):
+    """Every event currently in the queue."""
     events = []
-    deadline_s = time.time() + timeout_s
-    while time.time() < deadline_s:
-        doc = channel.drain(timeout_s=0.05)
-        if doc is None:
-            break
+    while (doc := channel.drain(timeout_s=0.0)) is not None:
         events.append(doc)
     return events
 
@@ -99,10 +77,7 @@ class TestStreamSchema:
                                  outcome="hit"),
             "point_start": dict(key="k", method="polling", system="GM",
                                 msg_bytes=1024, interval_iters=10),
-            "point_end": dict(key="k", method="polling", wall_s=0.1,
-                              dropped={}),
-            "heartbeat": dict(sim_now_s=0.5, events_processed=10,
-                              points_done=1, current_key=None, dropped={}),
+            "point_end": dict(key="k", method="polling", wall_s=0.1),
             "stall": dict(key="k", elapsed_s=9.0, predicted_s=1.0,
                           factor=9.0),
             "progress": dict(done=1, cached=2, running=1, eta_s=4.0),
@@ -116,8 +91,8 @@ class TestStreamSchema:
             assert doc["pid"] == os.getpid()
 
     def test_missing_declared_field_rejected(self):
-        doc = make_event("point_end", key="k", method="polling", wall_s=0.1)
-        assert any("dropped" in e for e in validate_stream_event(doc))
+        doc = make_event("point_end", key="k", method="polling")
+        assert any("wall_s" in e for e in validate_stream_event(doc))
 
     def test_unknown_kind_rejected(self):
         doc = make_event("telepathy")
@@ -134,7 +109,7 @@ class TestStreamSchema:
         assert any("not a number" in e for e in validate_stream_event(doc))
 
     def test_dropped_must_be_object(self):
-        doc = make_event("point_end", key="k", method="polling", wall_s=0.1,
+        doc = make_event("run_end", wall_s=1.0, done=1, cached=0, stalls=0,
                          dropped=3)
         assert any("'dropped'" in e for e in validate_stream_event(doc))
 
@@ -153,109 +128,26 @@ class TestStreamSchema:
 class TestTelemetryChannel:
     def test_emit_drain_round_trip(self):
         channel = TelemetryChannel(capacity=8)
-        try:
-            assert channel.emit("figure_start", figure="fig04")
-            doc = channel.drain(timeout_s=2.0)
-            assert doc is not None and doc["kind"] == "figure_start"
-            assert validate_stream_event(doc) == []
-        finally:
-            channel.close()
+        assert channel.emit("figure_start", figure="fig04")
+        doc = channel.drain(timeout_s=2.0)
+        assert doc is not None and doc["kind"] == "figure_start"
+        assert validate_stream_event(doc) == []
 
     def test_saturation_drops_are_counted_per_kind(self):
         channel = TelemetryChannel(capacity=2)
-        try:
-            delivered = sum(
-                channel.emit_nowait("heartbeat", sim_now_s=0.0,
-                                    events_processed=0, points_done=0,
-                                    current_key=None, dropped={})
-                for _ in range(6)
-            )
-            assert delivered == 2
-            assert channel.dropped == {"heartbeat": 4}
-            # Drops free no capacity retroactively: both survivors drain.
-            assert len(_drain_all(channel)) == 2
-        finally:
-            channel.close()
+        delivered = sum(
+            channel.emit("point_cached", key="k", method="polling",
+                         system="GM", outcome="hit")
+            for _ in range(6)
+        )
+        assert delivered == 2
+        assert channel.dropped == {"point_cached": 4}
+        # Drops free no capacity retroactively: both survivors drain.
+        assert len(_drain_all(channel)) == 2
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             TelemetryChannel(capacity=0)
-
-
-# -------------------------------------------------------------- worker side
-class TestWorkerEmitter:
-    def test_unarmed_notes_are_no_ops(self):
-        assert not worker_armed()
-        note_point_start("k", "polling", _point_start_fields())
-        note_point_end("k", "polling", 0.1)  # must not raise
-
-    def test_lifecycle_events_flow(self):
-        channel = TelemetryChannel(capacity=16)
-        try:
-            arm_worker(channel.queue, heartbeat_s=0)  # no heartbeat thread
-            note_point_start("k1", "polling", _point_start_fields())
-            note_point_end("k1", "polling", 0.25)
-            events = _drain_all(channel)
-            assert [e["kind"] for e in events] == ["point_start", "point_end"]
-            start, end = events
-            assert start["key"] == "k1" and start["system"] == "GM"
-            assert end["wall_s"] == 0.25 and end["points_done"] == 1
-            assert end["dropped"] == {}
-            for doc in events:
-                assert validate_stream_event(doc) == []
-        finally:
-            disarm_worker()
-            channel.close()
-
-    def test_saturated_queue_drops_reported_in_next_point_end(self):
-        channel = TelemetryChannel(capacity=1)
-        try:
-            arm_worker(channel.queue, heartbeat_s=0)
-            note_point_start("k1", "polling", _point_start_fields())
-            # Queue full: this point_end blocks briefly, then drops.
-            note_point_end("k1", "polling", 0.1)
-            assert _drain_all(channel)[0]["kind"] == "point_start"
-            # The next delivered lifecycle event confesses the loss.
-            note_point_start("k2", "polling", _point_start_fields())
-            _drain_all(channel)
-            note_point_end("k2", "polling", 0.1)
-            end = _drain_all(channel)[0]
-            assert end["kind"] == "point_end"
-            assert end["dropped"] == {"point_end": 1}
-            assert end["points_done"] == 2
-        finally:
-            disarm_worker()
-            channel.close()
-
-    def test_heartbeats_sample_the_probed_engine(self):
-        class FakeEngine:
-            now = 0.125
-            events_processed = 4242
-
-        channel = TelemetryChannel(capacity=64)
-        try:
-            arm_worker(channel.queue, heartbeat_s=0.02)
-            attach_engine_probe(FakeEngine())
-            note_point_start("k1", "polling", _point_start_fields())
-            time.sleep(0.15)
-            disarm_worker()
-            beats = [e for e in _drain_all(channel)
-                     if e["kind"] == "heartbeat"]
-            assert beats, "no heartbeats in 0.15s at 0.02s period"
-            probed = [b for b in beats if b["sim_now_s"] is not None]
-            assert probed, "no heartbeat sampled the attached engine"
-            assert probed[-1]["sim_now_s"] == pytest.approx(0.125)
-            assert probed[-1]["events_processed"] == 4242
-            assert probed[-1]["current_key"] == "k1"
-            for doc in beats:
-                assert validate_stream_event(doc) == []
-        finally:
-            disarm_worker()
-            channel.close()
-
-    def test_probe_is_a_no_op_unarmed(self):
-        attach_engine_probe(object())  # must not raise, must not arm
-        assert not worker_armed()
 
 
 # ---------------------------------------------------------------- cost model
@@ -289,30 +181,27 @@ class TestSweepState:
                        system="GM", outcome="hit"),
             make_event("point_start", key="k1", method="polling",
                        system="GM", msg_bytes=1, interval_iters=1),
-            make_event("heartbeat", sim_now_s=0.5, events_processed=7,
-                       points_done=0, current_key="k1",
-                       dropped={"heartbeat": 2}),
-            make_event("point_end", key="k1", method="polling", wall_s=0.1,
-                       points_done=1, dropped={"heartbeat": 3}),
+            make_event("point_end", key="k1", method="polling", wall_s=0.1),
             make_event("run_end", wall_s=1.0, done=1, cached=1, stalls=0,
-                       dropped={"progress": 1, "heartbeat": 3}),
+                       dropped={"point_cached": 3}),
         ]:
             state.apply(doc)
         assert (state.run_id, state.cmd, state.jobs) == ("r1", "figures", 2)
         assert (state.tasks, state.cached, state.done) == (3, 1, 1)
-        assert state.pending == 1
+        assert state.pending == 1 and state.running == {}
         assert state.finished and state.wall_s == pytest.approx(1.0)
-        worker = state.workers[os.getpid()]
-        assert worker.points_done == 1 and worker.current_key is None
-        # Latest per-pid drop snapshot wins (cumulative counts).
-        assert state.worker_dropped[os.getpid()] == {"heartbeat": 3}
+        assert state.dropped == {"point_cached": 3}
 
-    def test_total_dropped_merges_parent_and_workers(self):
+    def test_dropped_is_read_from_run_end(self):
         state = SweepState()
-        state.parent_dropped = {"heartbeat": 2}
-        state.worker_dropped = {10: {"heartbeat": 1, "point_end": 1},
-                                11: {"heartbeat": 4}}
-        assert state.total_dropped() == {"heartbeat": 7, "point_end": 1}
+        state.apply(make_event("point_end", key="k1", method="polling",
+                               wall_s=0.1))
+        assert state.dropped == {}
+        state.apply(make_event("run_end", wall_s=1.0, done=1, cached=0,
+                               stalls=0, dropped={"point_start": 2,
+                                                  "point_end": 1,
+                                                  "bogus": "x"}))
+        assert state.dropped == {"point_start": 2, "point_end": 1}
 
 
 # ----------------------------------------------------------- stall detection
@@ -326,114 +215,43 @@ def _stamped(kind, t_wall_s, pid=9999, **fields):
 class TestHubStallDetection:
     """Deterministic stall logic via an injected clock (no sleeping)."""
 
-    def _hub(self, fake_now, heartbeat_s=0.5):
-        channel = TelemetryChannel(capacity=8, heartbeat_s=heartbeat_s)
-        hub = TelemetryHub(channel, consumers=[], stall_floor_s=1.0,
-                           clock=lambda: fake_now[0])
-        return channel, hub
+    def _hub(self, fake_now):
+        return TelemetryHub(TelemetryChannel(capacity=8), consumers=[],
+                            stall_floor_s=1.0, clock=lambda: fake_now[0])
 
     def test_slow_point_flagged_once_against_prediction(self):
         fake_now = [100.0]
-        channel, hub = self._hub(fake_now)
-        try:
-            hub._handle(_stamped("point_end", 100.0, key="k0",
-                                 method="polling", wall_s=1.0, dropped={}))
-            hub._handle(_stamped("point_start", 100.0, key="k1",
-                                 method="polling", system="GM",
-                                 msg_bytes=1, interval_iters=1))
-            fake_now[0] = 109.0  # 9s elapsed > 8 × 1.0s predicted
-            # A fresh heartbeat keeps the worker alive: slow, not lost.
-            hub._handle(_stamped("heartbeat", 108.9, sim_now_s=0.1,
-                                 events_processed=1, points_done=1,
-                                 current_key="k1", dropped={}))
-            hub._check_stalls()
-            hub._check_stalls()  # flagged once, not per check
-            assert len(hub.state.stalls) == 1
-            stall = hub.state.stalls[0]
-            assert stall["key"] == "k1"
-            assert stall["factor"] == pytest.approx(9.0)
-            assert "lost_pid" not in stall
-            assert hub.state.running["k1"].stalled
-        finally:
-            channel.close()
+        hub = self._hub(fake_now)
+        hub._handle(_stamped("point_end", 100.0, key="k0",
+                             method="polling", wall_s=1.0))
+        hub._handle(_stamped("point_start", 100.0, key="k1",
+                             method="polling", system="GM",
+                             msg_bytes=1, interval_iters=1))
+        fake_now[0] = 109.0  # 9s elapsed > 8 × 1.0s predicted
+        hub._check_stalls()
+        hub._check_stalls()  # flagged once, not per check
+        assert len(hub.state.stalls) == 1
+        stall = hub.state.stalls[0]
+        assert stall["key"] == "k1"
+        assert stall["factor"] == pytest.approx(9.0)
+        assert hub.state.running["k1"].stalled
 
     def test_below_floor_never_flagged(self):
         fake_now = [100.0]
-        channel, hub = self._hub(fake_now)
-        try:
-            hub._handle(_stamped("point_end", 100.0, key="k0",
-                                 method="polling", wall_s=0.01, dropped={}))
-            hub._handle(_stamped("point_start", 100.0, key="k1",
-                                 method="polling", system="GM",
-                                 msg_bytes=1, interval_iters=1))
-            fake_now[0] = 100.5  # 50× predicted but under the 1s floor
-            hub._handle(_stamped("heartbeat", 100.5, sim_now_s=0.1,
-                                 events_processed=1, points_done=1,
-                                 current_key="k1", dropped={}))
-            hub._check_stalls()
-            assert hub.state.stalls == []
-        finally:
-            channel.close()
-
-    def test_silent_worker_flagged_as_lost(self):
-        fake_now = [100.0]
-        channel, hub = self._hub(fake_now)  # loss after max(6×0.5, 1) = 3s
-        try:
-            hub._handle(_stamped("point_start", 100.0, pid=4242, key="k1",
-                                 method="polling", system="GM",
-                                 msg_bytes=1, interval_iters=1))
-            fake_now[0] = 104.0  # 4s of silence, no prediction at all
-            hub._check_stalls()
-            assert len(hub.state.stalls) == 1
-            stall = hub.state.stalls[0]
-            assert stall["lost_pid"] == 4242
-            assert stall["silent_s"] == pytest.approx(4.0)
-            assert hub.state.workers[4242].lost
-        finally:
-            channel.close()
-
-
-# -------------------------------------------------- killed worker, live hub
-def _doomed_worker(out_queue):
-    """Arms itself, announces a point, then dies without a point_end."""
-    pool_worker_init(out_queue, 0.05)
-    note_point_start("deadpoint", "polling",
-                     {"system": "GM", "msg_bytes": 1, "interval_iters": 1})
-    time.sleep(0.3)  # let the feeder thread flush, heartbeats flow
-    os._exit(1)      # simulated crash: no point_end, no disarm
-
-
-class TestKilledWorker:
-    def test_lost_worker_stalls_and_run_completes(self):
-        seen = []
-        channel = TelemetryChannel(capacity=64, heartbeat_s=0.05)
-        hub = TelemetryHub(channel, consumers=[seen.append],
-                           stall_floor_s=0.2, progress_period_s=0.1)
-        hub.start("run1", "test", jobs=1)
-        ctx = multiprocessing.get_context("spawn")
-        proc = ctx.Process(target=_doomed_worker, args=(channel.queue,))
-        proc.start()
-        proc.join(timeout=30)
-        assert not proc.is_alive()
-        deadline_s = time.time() + 10
-        while time.time() < deadline_s and not hub.state.stalls:
-            time.sleep(0.05)
-        hub.close()  # the run must complete despite the dead worker
-        stalls = hub.state.stalls
-        assert stalls, "dead worker never flagged as a stall"
-        assert stalls[0]["key"] == "deadpoint"
-        assert stalls[0]["lost_pid"] == proc.pid
-        assert hub.state.workers[proc.pid].lost
-        run_end = [e for e in seen if e["kind"] == "run_end"]
-        assert len(run_end) == 1 and run_end[0]["stalls"] >= 1
-        assert hub.state.finished
-        for doc in seen:
-            assert validate_stream_event(doc) == []
+        hub = self._hub(fake_now)
+        hub._handle(_stamped("point_end", 100.0, key="k0",
+                             method="polling", wall_s=0.01))
+        hub._handle(_stamped("point_start", 100.0, key="k1",
+                             method="polling", system="GM",
+                             msg_bytes=1, interval_iters=1))
+        fake_now[0] = 100.5  # 50× predicted but under the 1s floor
+        hub._check_stalls()
+        assert hub.state.stalls == []
 
 
 class TestHubClose:
-    """``close`` must hand on every event emitted before it, even those
-    still in the queue's feeder thread, and count what it cannot."""
+    """``close`` hands on every event emitted before it and states what
+    the queue dropped."""
 
     @staticmethod
     def _burst(channel, n=3):
@@ -453,16 +271,19 @@ class TestHubClose:
             assert seen[-1]["kind"] == "run_end"
             assert seen[-1]["dropped"] == {}
 
-    def test_events_missing_at_the_deadline_count_as_dropped(
-            self, monkeypatch):
-        monkeypatch.setattr(live_consumers, "CLOSE_FLUSH_S", 0.0)
+    def test_saturation_drops_are_stated_in_run_end(self):
         seen = []
-        channel = TelemetryChannel()
+        channel = TelemetryChannel(capacity=1)
         hub = TelemetryHub(channel, consumers=[seen.append])
-        self._burst(channel)
+        for i in range(3):  # nothing drains: two wait, then drop
+            channel.emit("point_cached", key=f"k{i}", method="polling",
+                         system="GM", outcome="hit")
         hub.close()
-        assert not [e for e in seen if e["kind"] == "point_cached"]
-        assert seen[-1]["dropped"] == {"unflushed_at_close": 3}
+        assert [e["key"] for e in seen if e["kind"] == "point_cached"] \
+            == ["k0"]
+        assert seen[-1]["kind"] == "run_end"
+        assert seen[-1]["dropped"] == {"point_cached": 2}
+        assert hub.state.dropped == {"point_cached": 2}
 
 
 # ------------------------------------------------------ stream writer / top
@@ -474,10 +295,9 @@ class TestStreamWriterAndTop:
             make_event("batch", n_tasks=2, n_hits=0, n_pending=2),
             make_event("point_start", key="k1", method="polling",
                        system="GM", msg_bytes=1, interval_iters=1),
-            make_event("point_end", key="k1", method="polling", wall_s=0.1,
-                       points_done=1, dropped={}),
+            make_event("point_end", key="k1", method="polling", wall_s=0.1),
             make_event("run_end", wall_s=0.5, done=1, cached=0, stalls=0,
-                       dropped={"heartbeat": 2}),
+                       dropped={"point_cached": 2}),
         ]:
             writer(doc)
         writer.close()
@@ -493,7 +313,7 @@ class TestStreamWriterAndTop:
             assert validate_stream_line(line) == []
         state = load_stream_state(stream)
         assert state.finished and state.done == 1 and state.tasks == 2
-        assert state.parent_dropped == {"heartbeat": 2}
+        assert state.dropped == {"point_cached": 2}
 
     def test_invalid_lines_counted_not_fatal(self, tmp_path):
         stream = tmp_path / "s.ndjson"
@@ -509,13 +329,30 @@ class TestStreamWriterAndTop:
         writer(make_event("figure_start", figure="fig04"))
         writer.close()
         assert json.loads(out.read_text())["kind"] == "figure_start"
+        os.close(fd)
+
+    def test_fd_target_stays_open_after_close(self, tmp_path):
+        """A numeric target is borrowed (say, stdout): closing the
+        writer flushes it but leaves it open for its owner."""
+        out = tmp_path / "fd.ndjson"
+        fd = os.open(str(out), os.O_WRONLY | os.O_CREAT, 0o644)
+        try:
+            writer = StreamWriter(str(fd))
+            writer(make_event("figure_start", figure="fig04"))
+            writer.close()
+            os.write(fd, b"owner\n")
+        finally:
+            os.close(fd)
+        lines = out.read_text().splitlines()
+        assert json.loads(lines[0])["kind"] == "figure_start"
+        assert lines[1] == "owner"
 
     def test_render_top_and_run_top_once(self, tmp_path):
         stream = tmp_path / "s.ndjson"
         self._write_run(stream)
         screen = render_top(load_stream_state(stream))
         assert "run r1 [finished]" in screen
-        assert "1 done" in screen and "heartbeat=2" in screen
+        assert "1 done" in screen and "point_cached=2" in screen
         out = io.StringIO()
         assert run_top(stream, once=True, out=out) == 0
         assert "comb top" in out.getvalue()
@@ -531,7 +368,7 @@ class TestStreamWriterAndTop:
             make_event("stall", key="k1", method="polling", elapsed_s=9.0,
                        predicted_s=1.0, factor=9.0),
             make_event("run_end", wall_s=1.5, done=1, cached=1, stalls=1,
-                       dropped={"heartbeat": 3}),
+                       dropped={"point_end": 3}),
         ]:
             renderer(doc)
         text = out.getvalue()
@@ -552,26 +389,54 @@ class TestStreamWriterAndTop:
 
 
 # --------------------------------------------------- executor integration
-class TestExecutorTelemetry:
-    def _run_with_hub(self, jobs, tasks=TASKS):
-        seen = []
-        channel = TelemetryChannel(heartbeat_s=0.05)
-        hub = TelemetryHub(channel, consumers=[seen.append])
-        hub.start("run1", "test", jobs=jobs)
-        with SweepExecutor(jobs=jobs, telemetry=channel) as ex:
-            points = ex.run(tasks)
-        hub.close()
-        return points, seen, hub
+def _run_with_hub(jobs, tasks=TASKS, observer=None, point_log=False):
+    """Run ``tasks`` with a hub attached (and ``observer`` ambient);
+    returns the points, the events the hub saw, the hub and the
+    executor's point records."""
+    seen = []
+    channel = TelemetryChannel()
+    hub = TelemetryHub(channel, consumers=[seen.append])
+    hub.start("run1", "test", jobs=jobs)
+    with use_observer(observer), SweepExecutor(
+            jobs=jobs, telemetry=channel, point_log=point_log) as ex:
+        points = ex.run(tasks)
+    hub.close()
+    return points, seen, hub, ex.point_records
 
-    def test_serial_lifecycle_and_bit_identity(self):
-        with SweepExecutor() as ex:
-            bare = ex.run(TASKS)
-        points, seen, hub = self._run_with_hub(jobs=1)
-        assert points == bare  # telemetry is observation-only
-        assert not worker_armed()  # executor close disarms the parent
+
+def _max_running(seen):
+    running = peak = 0
+    for doc in seen:
+        if doc["kind"] in ("point_start", "point_end"):
+            running += 1 if doc["kind"] == "point_start" else -1
+            peak = max(peak, running)
+    return peak
+
+
+@pytest.fixture(scope="module")
+def bare_points():
+    with SweepExecutor() as ex:
+        return ex.run(TASKS)
+
+
+@pytest.fixture(scope="module")
+def pooled():
+    """One ``jobs=2`` run of :data:`TASKS` with a hub, a point log and an
+    ambient observer."""
+    observer = Observer()
+    points, seen, hub, records = _run_with_hub(
+        jobs=2, observer=observer, point_log=True)
+    return points, seen, hub, records, observer
+
+
+class TestExecutorTelemetry:
+    def test_serial_lifecycle_and_bit_identity(self, bare_points):
+        points, seen, hub, _records = _run_with_hub(jobs=1)
+        assert points == bare_points  # telemetry is observation-only
         kinds = [e["kind"] for e in seen]
         assert kinds.count("point_start") == len(TASKS)
         assert kinds.count("point_end") == len(TASKS)
+        assert _max_running(seen) == 1
         batch = next(e for e in seen if e["kind"] == "batch")
         assert batch["n_tasks"] == len(TASKS)
         assert batch["n_pending"] == len(TASKS)
@@ -579,18 +444,66 @@ class TestExecutorTelemetry:
         for doc in seen:
             assert validate_stream_event(doc) == []
 
-    def test_pooled_lifecycle_and_bit_identity(self):
-        with SweepExecutor() as ex:
-            bare = ex.run(TASKS)
-        points, seen, hub = self._run_with_hub(jobs=2)
-        assert points == bare
-        ends = [e for e in seen if e["kind"] == "point_end"]
-        assert len(ends) == len(TASKS)
-        worker_pids = {e["pid"] for e in ends}
-        assert os.getpid() not in worker_pids  # pool workers emitted
-        assert hub.state.done == len(TASKS)
+    def test_pooled_lifecycle_and_bit_identity(self, bare_points, pooled):
+        points, seen, hub, _records, _observer = pooled
+        assert points == bare_points
+        kinds = [e["kind"] for e in seen]
+        assert kinds.count("point_start") == len(TASKS)
+        assert kinds.count("point_end") == len(TASKS)
+        assert hub.state.done == len(TASKS) and hub.state.running == {}
         for doc in seen:
             assert validate_stream_event(doc) == []
+
+    def test_pooled_events_come_from_the_parent(self, pooled):
+        _points, seen, _hub, _records, _observer = pooled
+        lifecycle = [e for e in seen
+                     if e["kind"] in ("point_start", "point_end")]
+        assert lifecycle
+        assert {e["pid"] for e in lifecycle} == {os.getpid()}
+
+    def test_pooled_running_never_exceeds_the_pool(self, pooled):
+        _points, seen, _hub, _records, _observer = pooled
+        assert _max_running(seen) == 2  # jobs=2, three points
+
+    def test_pooled_points_leave_no_marker_on_ambient_tracer(self, pooled):
+        *_rest, observer = pooled
+        assert [e for e in observer.tracer.events()
+                if e.kind.startswith("point_")] == []
+
+    def test_pooled_point_records_keep_task_order(self, pooled):
+        _points, _seen, _hub, records, _observer = pooled
+        keys = [executor_mod.task_key(task) for task in TASKS]
+        assert [r["key"] for r in records] == keys
+        assert all(r["outcome"] == "miss" and r["wall_s"] > 0
+                   for r in records)
+
+    def test_pooled_point_ends_in_completion_order(
+            self, bare_points, monkeypatch):
+        """A finished point is published at once, never held back behind
+        a slower earlier one (a thread pool stands in for the process
+        pool so the finishing order is forced)."""
+        slow_key = executor_mod.task_key(TASKS[0])
+        released = threading.Event()
+
+        def run_task(task):
+            if task == TASKS[0]:
+                assert released.wait(10.0)
+            return bare_points[TASKS.index(task)]
+
+        class ReleaseOnFirstEnd(Subscriber):
+            def __call__(self, kind, fields):
+                if kind == "point_end":
+                    ends.append(fields["key"])
+                    released.set()
+
+        ends = []
+        monkeypatch.setattr(executor_mod, "run_task", run_task)
+        with SweepExecutor(jobs=2) as ex:
+            ex._pool, ex._pool_size = ThreadPoolExecutor(2), 2
+            ex.subscribers.append(ReleaseOnFirstEnd())
+            points = ex.run(TASKS)
+        assert points == bare_points  # results still in task order
+        assert len(ends) == len(TASKS) and ends[0] != slow_key
 
     def test_memo_hits_emit_point_cached(self):
         seen = []
@@ -605,6 +518,16 @@ class TestExecutorTelemetry:
         assert len(cached) == len(TASKS)
         assert {e["outcome"] for e in cached} == {"hit"}
         assert hub.state.cached == len(TASKS)
+
+
+class TestTopInterval:
+    @pytest.mark.parametrize("value", ["nan", "-5", "0", "inf"])
+    def test_non_positive_or_non_finite_is_an_argument_error(
+            self, capsys, tmp_path, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["top", str(tmp_path / "s.ndjson"), "--interval", value])
+        assert exc.value.code == 2
+        assert "--interval" in capsys.readouterr().err
 
 
 # --------------------------------------------------- chrome trace executor row

@@ -8,7 +8,7 @@ compares what each observer produced with fixtures under
 
 * ``comb figures --ids fig04 fig11_ci --per-decade 1 --no-cache
   --progress-stream S --ledger-dir L``: stream events emitted by the
-  executor and its workers, and ledger records;
+  executor, and ledger records;
 * ``comb trace fig12 --attribution``: the Chrome trace, CSV timeline and
   attribution JSON, byte for byte (compared by SHA-256), and the metric
   names and counts of ``fig12.metrics.json``.
@@ -60,8 +60,8 @@ from repro.verify import (
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "data" / "seam_parity"
 
-#: Stream kinds the executor and its workers emit (the hub's own
-#: ``progress`` / ``heartbeat`` / ``run_*`` events depend on timing).
+#: Stream kinds the executor emits (the hub's own ``progress`` /
+#: ``stall`` / ``run_*`` events depend on timing).
 LIFECYCLE_KINDS = ("batch", "point_cached", "point_start", "point_end",
                    "figure_start", "figure_end")
 STREAM_MASK = ("t_wall_s", "pid", "wall_s", "run_id")
