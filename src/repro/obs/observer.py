@@ -22,9 +22,16 @@ are bit-identical to bare runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from functools import cache, partial
+from typing import Any, Callable, Dict, List, TypeVar
 
-from .metrics import DEFAULT_SIM_TIME_BUCKETS_S, MetricsRegistry
+from .metrics import (
+    DEFAULT_SIM_TIME_BUCKETS_S,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
 from .tracer import ObsEvent, ObsTracer
 
 #: Queue-mutation ops and their effect on the queue's depth.
@@ -37,6 +44,19 @@ _DEPTH_DELTA = {
 _NET_KINDS = frozenset(
     ["wire_tx", "wire_rx", "wire_drop", "packet_tx", "nic_rx"]
 )
+
+_Handler = Callable[[ObsEvent], None]
+_M = TypeVar("_M", Counter, Gauge, Histogram)
+
+
+def _lazy(make: Callable[..., _M], *args: Any) -> Callable[[], _M]:
+    """``make(*args)`` on the first call, the same instrument after.
+
+    An instrument joins the registry only once something is measured,
+    as when each event looked its instruments up by name; after that the
+    getter is a C-level cache hit.
+    """
+    return cache(partial(make, *args))
 
 
 class Observer:
@@ -61,6 +81,9 @@ class Observer:
         self.worlds: List[Any] = []
         self._req_posted_at_s: Dict[int, float] = {}
         self._rts_seen_at_s: Dict[int, float] = {}
+        #: Event kind -> the handler deriving its metrics; kinds absent
+        #: here only land on the timeline.
+        self._handlers = self._metric_handlers()
 
     # ------------------------------------------------------------ attachment
     def install(self, world: Any) -> None:
@@ -79,59 +102,123 @@ class Observer:
     # ---------------------------------------------------------------- events
     def _on_event(self, ev: ObsEvent) -> None:
         """Derive metrics from one stored trace event."""
-        kind = ev.kind
-        metrics = self.metrics
-        if kind == "pww_phase":
+        handler = self._handlers.get(ev.kind)
+        if handler is not None:
+            handler(ev)
+
+    def _metric_handlers(self) -> Dict[str, _Handler]:
+        """The kind -> handler table behind :meth:`_on_event`.
+
+        Each handler holds the instruments it feeds, so no metric name
+        is formatted or looked up per event.
+        """
+        m = self.metrics
+        buckets = DEFAULT_SIM_TIME_BUCKETS_S
+
+        batches = _lazy(m.counter, "sim.pww.batches")
+        phases = [
+            (_lazy(m.counter, f"sim.pww.{phase}_total_s"),
+             _lazy(m.histogram, f"sim.pww.{phase}_s", buckets))
+            for phase in ("post", "work", "wait")
+        ]
+
+        def on_pww_phase(ev: ObsEvent) -> None:
             _batch, _t0_s, post_s, work_s, wait_s = ev.detail
-            metrics.counter("sim.pww.batches").inc()
-            for phase, dur_s in (
-                ("post", post_s), ("work", work_s), ("wait", wait_s)
-            ):
-                metrics.counter(f"sim.pww.{phase}_total_s").inc(dur_s)
-                metrics.histogram(
-                    f"sim.pww.{phase}_s", DEFAULT_SIM_TIME_BUCKETS_S
-                ).observe(dur_s)
-        elif kind == "poll":
+            batches().inc()
+            for (total, hist), dur_s in zip(phases, (post_s, work_s, wait_s)):
+                total().inc(dur_s)
+                hist().observe(dur_s)
+
+        hits = _lazy(m.counter, "sim.poll.hits")
+        completions = _lazy(m.counter, "sim.poll.completions")
+        misses = _lazy(m.counter, "sim.poll.misses")
+
+        def on_poll(ev: ObsEvent) -> None:
             (n_done,) = ev.detail
             if n_done > 0:
-                metrics.counter("sim.poll.hits").inc()
-                metrics.counter("sim.poll.completions").inc(n_done)
+                hits().inc()
+                completions().inc(n_done)
             else:
-                metrics.counter("sim.poll.misses").inc()
-        elif kind == "poll_empty":
+                misses().inc()
+
+        def on_poll_empty(ev: ObsEvent) -> None:
             (cycles,) = ev.detail
-            metrics.counter("sim.poll.misses").inc(cycles)
-        elif kind == "req_post":
-            req_id = ev.detail[0]
-            metrics.counter("sim.mpi.req_posted").inc()
-            self._req_posted_at_s[req_id] = ev.time_s
-        elif kind == "req_complete":
-            req_id = ev.detail[0]
-            metrics.counter("sim.mpi.req_completed").inc()
-            posted_s = self._req_posted_at_s.pop(req_id, None)
+            misses().inc(cycles)
+
+        req_posted = _lazy(m.counter, "sim.mpi.req_posted")
+        req_completed = _lazy(m.counter, "sim.mpi.req_completed")
+        req_latency_s = _lazy(m.histogram, "sim.mpi.req_latency_s", buckets)
+        posted_at_s = self._req_posted_at_s
+
+        def on_req_post(ev: ObsEvent) -> None:
+            req_posted().inc()
+            posted_at_s[ev.detail[0]] = ev.time_s
+
+        def on_req_complete(ev: ObsEvent) -> None:
+            req_completed().inc()
+            posted_s = posted_at_s.pop(ev.detail[0], None)
             if posted_s is not None:
-                metrics.histogram(
-                    "sim.mpi.req_latency_s", DEFAULT_SIM_TIME_BUCKETS_S
-                ).observe(ev.time_s - posted_s)
-        elif kind == "rts_rx":
-            metrics.counter("sim.rndv.rts").inc()
-            self._rts_seen_at_s[ev.detail[0]] = ev.time_s
-        elif kind == "get_issued":
-            metrics.counter("sim.rndv.gets").inc()
-            rts_s = self._rts_seen_at_s.pop(ev.detail[0], None)
+                req_latency_s().observe(ev.time_s - posted_s)
+
+        rts = _lazy(m.counter, "sim.rndv.rts")
+        gets = _lazy(m.counter, "sim.rndv.gets")
+        stall = _lazy(m.histogram, "sim.rndv.stall_s", buckets)
+        rts_at_s = self._rts_seen_at_s
+
+        def on_rts_rx(ev: ObsEvent) -> None:
+            rts().inc()
+            rts_at_s[ev.detail[0]] = ev.time_s
+
+        def on_get_issued(ev: ObsEvent) -> None:
+            gets().inc()
+            rts_s = rts_at_s.pop(ev.detail[0], None)
             if rts_s is not None:
-                metrics.histogram(
-                    "sim.rndv.stall_s", DEFAULT_SIM_TIME_BUCKETS_S
-                ).observe(ev.time_s - rts_s)
-        elif kind == "gm_tokens":
+                stall().observe(ev.time_s - rts_s)
+
+        token_gauges: Dict[int, Gauge] = {}
+
+        def on_gm_tokens(ev: ObsEvent) -> None:
             node, tokens, _max_tokens = ev.detail
-            metrics.gauge(f"sim.gm.tokens.node{node}").set(tokens)
-        elif kind in _NET_KINDS:
-            metrics.counter(f"sim.net.{kind}").inc()
-        elif kind in _DEPTH_DELTA:
-            metrics.gauge(f"sim.queue.{ev.source}.depth").add(
-                _DEPTH_DELTA[kind]
-            )
+            gauge = token_gauges.get(node)
+            if gauge is None:
+                gauge = token_gauges[node] = m.gauge(f"sim.gm.tokens.node{node}")
+            gauge.set(tokens)
+
+        def net_counter(kind: str) -> _Handler:
+            counter = _lazy(m.counter, f"sim.net.{kind}")
+
+            def on_net(ev: ObsEvent) -> None:
+                counter().inc()
+
+            return on_net
+
+        depth_gauges: Dict[str, Gauge] = {}
+
+        def queue_depth(delta: int) -> _Handler:
+            def on_queue(ev: ObsEvent) -> None:
+                gauge = depth_gauges.get(ev.source)
+                if gauge is None:
+                    gauge = depth_gauges[ev.source] = m.gauge(
+                        f"sim.queue.{ev.source}.depth")
+                gauge.add(delta)
+
+            return on_queue
+
+        handlers: Dict[str, _Handler] = {
+            "pww_phase": on_pww_phase,
+            "poll": on_poll,
+            "poll_empty": on_poll_empty,
+            "req_post": on_req_post,
+            "req_complete": on_req_complete,
+            "rts_rx": on_rts_rx,
+            "get_issued": on_get_issued,
+            "gm_tokens": on_gm_tokens,
+        }
+        handlers.update((kind, net_counter(kind)) for kind in sorted(_NET_KINDS))
+        handlers.update(
+            (kind, queue_depth(delta)) for kind, delta in _DEPTH_DELTA.items()
+        )
+        return handlers
 
     # --------------------------------------------------------------- results
     def events(self) -> List[ObsEvent]:

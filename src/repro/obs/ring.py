@@ -9,6 +9,7 @@ timeline as complete.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Any, Iterator, List
 
 
@@ -46,13 +47,17 @@ class RingBuffer:
         return len(self._items)
 
     def __iter__(self) -> Iterator[Any]:
-        if self._head == 0:
-            return iter(list(self._items))
-        return iter(self._items[self._head:] + self._items[: self._head])
+        """The retained items, oldest first, read in place (no copy);
+        :meth:`to_list` is the snapshot to hold across appends."""
+        items, head = self._items, self._head
+        if head == 0:
+            return iter(items)
+        return chain(islice(items, head, None), islice(items, head))
 
     def to_list(self) -> List[Any]:
         """The retained items, oldest first."""
-        return list(self)
+        items, head = self._items, self._head
+        return items[head:] + items[:head]
 
     def clear(self) -> None:
         """Drop every retained item (``dropped`` keeps its count)."""

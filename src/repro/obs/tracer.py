@@ -9,13 +9,16 @@ hardware models, transports, and MPI layer feeds it.  It
   noisy kind (``wire_tx``) cannot evict a rare one (``rts_rx``);
 * skips per-kernel-event records unless explicitly asked
   (``kernel=True``) — the kernel stream is one record per processed
-  event and is rarely worth its volume;
+  event and is rarely worth its volume, so without it
+  :attr:`~ObsTracer.reads_kernel` is false and a
+  :class:`~repro.sim.trace.MultiTracer` does not call it at all;
 * optionally forwards each stored event to a dispatch callable — the
   hook :class:`~repro.obs.observer.Observer` uses to derive metrics.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from ..sim.trace import Tracer
@@ -35,6 +38,13 @@ class ObsEvent(NamedTuple):
     source: str
     kind: str
     detail: Any
+
+
+#: Builds an :class:`ObsEvent` from its field tuple without the Python
+#: frame of the generated ``ObsEvent.__new__``, which more than doubles
+#: the cost of building one.
+_new_tuple: Any = tuple.__new__
+_by_seq = itemgetter(0)
 
 
 class ObsTracer(Tracer):
@@ -64,7 +74,7 @@ class ObsTracer(Tracer):
 
     # ------------------------------------------------------------- recording
     def record(self, time: float, source: str, kind: str, detail: Any = None) -> None:
-        ev = ObsEvent(self._seq, time, source, kind, detail)
+        ev: ObsEvent = _new_tuple(ObsEvent, (self._seq, time, source, kind, detail))
         self._seq += 1
         ring = self.rings.get(kind)
         if ring is None:
@@ -77,13 +87,17 @@ class ObsTracer(Tracer):
         if self.kernel:
             self.record(time, "engine", "kernel", repr(event))
 
+    @property
+    def reads_kernel(self) -> bool:
+        return self.kernel
+
     # --------------------------------------------------------------- queries
     def events(self) -> List[ObsEvent]:
         """Every retained event across all kinds, in emission order."""
         out: List[ObsEvent] = []
         for ring in self.rings.values():
             out.extend(ring)
-        out.sort(key=lambda ev: ev.seq)
+        out.sort(key=_by_seq)  # seq is unique: the order is total
         return out
 
     def of_kind(self, kind: str) -> List[Any]:

@@ -3,7 +3,12 @@
 A monitor consumes the simulation's trace-record stream (dispatched by
 :class:`~repro.verify.sanitizer.Sanitizer`) plus synthesized matching-queue
 events, and appends a :class:`Violation` for every invariant breach it
-observes.  End-of-run structural checks live in :meth:`finalize`; checks
+observes.  A monitor declares the record kinds it reads in
+:attr:`InvariantMonitor.kinds`, and the sanitizer calls its
+:meth:`~InvariantMonitor.on_record` only for those; one that declares
+none (``None``, the default) gets every record.  ``on_record`` itself
+still ignores any other kind, so feeding it the whole stream gives the
+same result.  End-of-run structural checks live in :meth:`finalize`; checks
 that only hold once all traffic has drained (nothing in flight, every
 request waited) run only when the caller declares the run *quiescent*.
 
@@ -15,7 +20,7 @@ executor ships them back from checked workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 #: Trace-record kinds counted as intentional packet removals; duplicates
 #: observed after any of these are recovery retransmissions (go-back-N),
@@ -50,6 +55,8 @@ class InvariantMonitor:
     """Base class: violation bookkeeping + the two hook points."""
 
     name = "invariant"
+    #: Record kinds :meth:`on_record` acts on; ``None`` reads every kind.
+    kinds: Optional[FrozenSet[str]] = None
 
     def __init__(self) -> None:
         self.violations: List[Violation] = []
@@ -87,6 +94,10 @@ class ConservationMonitor(InvariantMonitor):
     """
 
     name = "conservation"
+    kinds = frozenset(
+        ("req_post", "req_complete", "q_remove", "packet_tx", "nic_rx")
+        + _DROP_KINDS
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -149,7 +160,11 @@ class ConservationMonitor(InvariantMonitor):
 
 
 class CausalityMonitor(InvariantMonitor):
-    """Timestamps are monotone; nothing is scheduled in the past."""
+    """Timestamps are monotone; nothing is scheduled in the past.
+
+    Reads every record (no declared kinds): the per-source time order
+    holds across all of them.
+    """
 
     name = "causality"
 
@@ -195,6 +210,7 @@ class TokenMonitor(InvariantMonitor):
     """
 
     name = "tokens"
+    kinds = frozenset(("gm_tokens",))
 
     def on_record(self, rec) -> None:
         if rec.kind != "gm_tokens":
@@ -274,6 +290,10 @@ class MatchingMonitor(InvariantMonitor):
     """
 
     name = "matching"
+    kinds = frozenset((
+        "q_post", "q_match", "q_remove", "q_unex_add", "q_unex_match",
+        "rts_rx", "get_issued",
+    ))
 
     def __init__(self) -> None:
         super().__init__()
@@ -386,6 +406,9 @@ class LifecycleMonitor(InvariantMonitor):
     """
 
     name = "lifecycle"
+    kinds = frozenset(
+        ("req_post", "q_post", "q_match", "q_remove", "req_complete")
+    )
 
     _POSTED = "posted"
     _MATCHED = "matched"

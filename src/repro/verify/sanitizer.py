@@ -2,8 +2,11 @@
 
 :class:`Sanitizer` owns a set of monitors and a :class:`SanitizerTracer`
 — a storage-free :class:`~repro.sim.trace.Tracer` subclass that forwards
-every record to the monitors instead of accumulating it, so checked runs
-stay O(1) in memory with respect to trace volume.  Worlds built while the
+every record to :meth:`Sanitizer.dispatch` instead of accumulating it, so
+checked runs stay O(1) in memory with respect to trace volume.  Dispatch
+calls only the monitors that read the record's kind
+(:attr:`~repro.verify.monitors.InvariantMonitor.kinds`), from a route
+built on the first record of each kind.  Worlds built while the
 sanitizer is ambient (see :mod:`repro.verify.context`) attach themselves:
 the engine's ``trace`` carries engine/NIC/link/MPI instrumentation, and
 the world builder hands each matching-queue mutation to
@@ -17,7 +20,7 @@ output bit-identical to unchecked output.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.trace import Tracer, TraceRecord
 from .monitors import CausalityMonitor, InvariantMonitor, Violation, default_monitors
@@ -50,7 +53,9 @@ class Sanitizer:
     Parameters
     ----------
     monitors:
-        Monitor instances to run (default: one of each built-in).
+        Monitor instances to run (default: one of each built-in).  The
+        set is fixed at construction: each kind's route is built from it
+        on that kind's first record.
     quiescent:
         Declare that runs under this sanitizer drain completely (every
         request waited, nothing in flight at the end).  Enables the
@@ -67,6 +72,9 @@ class Sanitizer:
         self.quiescent = quiescent
         self.tracer = SanitizerTracer(self)
         self.worlds: List[Any] = []
+        #: Record kind -> the ``on_record`` of every monitor reading it,
+        #: in monitor order.
+        self._routes: Dict[str, Tuple[Callable[[TraceRecord], None], ...]] = {}
         self._causality = next(
             (m for m in self.monitors if isinstance(m, CausalityMonitor)), None
         )
@@ -89,9 +97,15 @@ class Sanitizer:
 
     # -------------------------------------------------------------- dispatch
     def dispatch(self, rec: TraceRecord) -> None:
-        """Feed one record to every monitor."""
-        for m in self.monitors:
-            m.on_record(rec)
+        """Feed one record to every monitor that reads its kind."""
+        route = self._routes.get(rec.kind)
+        if route is None:
+            route = self._routes[rec.kind] = tuple(
+                m.on_record for m in self.monitors
+                if m.kinds is None or rec.kind in m.kinds
+            )
+        for on_record in route:
+            on_record(rec)
 
     def on_clock_backwards(self, when: float, last: float) -> None:
         """Kernel-clock regression hook (from :class:`SanitizerTracer`)."""

@@ -77,6 +77,12 @@ class TestRingBuffer:
         with pytest.raises(ValueError):
             RingBuffer(capacity=0)
 
+    def test_iteration_matches_to_list_across_laps(self):
+        ring = RingBuffer(capacity=4)
+        for i in range(11):
+            ring.append(i)
+            assert list(ring) == ring.to_list()
+
     def test_capacity_one(self):
         ring = RingBuffer(capacity=1)
         ring.append("a")
@@ -279,6 +285,45 @@ class TestMultiTracer:
 
     def test_is_a_tracer(self):
         assert isinstance(MultiTracer([]), Tracer)
+
+    def test_kernel_stream_reaches_only_readers(self):
+        kernels = []
+
+        class ClockCheck(Tracer):
+            def record_kernel(self, time, event):
+                kernels.append(event)
+
+        quiet, check = ObsTracer(), ClockCheck()
+        assert not Tracer().reads_kernel and not quiet.reads_kernel
+        assert check.reads_kernel and ObsTracer(kernel=True).reads_kernel
+        multi = MultiTracer([quiet, check])
+        assert multi.reads_kernel
+        assert multi.record_kernel == check.record_kernel  # bound directly
+        multi.record_kernel(1.0, "EV")
+        assert kernels == ["EV"] and quiet.events() == []
+        assert not MultiTracer([quiet, Tracer()]).reads_kernel
+
+    def test_nested_multitracer_reads_kernel_of_its_children(self):
+        inner = MultiTracer([ObsTracer(kernel=True)])
+        outer = MultiTracer([inner, ObsTracer()])
+        outer.record_kernel(1.0, "EV")
+        assert [ev.kind for ev in inner.children[0].events()] == ["kernel"]
+
+    def test_record_reaches_every_child_in_order(self):
+        seen = []
+
+        class Log(Tracer):
+            def __init__(self, name):
+                self.name = name
+
+            def record(self, time, source, kind, detail=None):
+                seen.append((self.name, kind, detail))
+
+        multi = MultiTracer([Log("a"), Log("b")])
+        multi.record(1.0, "s", "k")
+        assert seen == [("a", "k", None), ("b", "k", None)]
+        single = Log("only")
+        assert MultiTracer([single]).record == single.record
 
 
 # ------------------------------------------------------------------- context

@@ -262,11 +262,8 @@ def test_stream_lifecycle_events_match(outputs):
     assert outputs["stream"] == _fixture("stream")
 
 
-def test_ledger_records_match_apart_from_figure(outputs):
-    got, want = outputs["ledger"], _fixture("ledger")
-    strip = [{k: v for k, v in r.items() if k != "figure"} for r in got]
-    assert strip == [{k: v for k, v in r.items() if k != "figure"}
-                     for r in want]
+def test_ledger_records_match(outputs):
+    assert outputs["ledger"] == _fixture("ledger")
 
 
 def test_ledger_point_records_carry_their_figure(outputs):

@@ -13,16 +13,22 @@ Two obligations per monitor (the ISSUE's acceptance bar):
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines import run_pingpong
 from repro.config import gm_system, portals_system, tcp_system
 from repro.core import PollingConfig, PwwConfig, run_polling, run_pww
 from repro.mpi.world import build_world
+from repro.obs import Observer
+from repro.obs.schema import EVENT_SCHEMAS, is_known_kind
 from repro.sim.trace import TraceRecord
 from repro.verify import (
     CausalityMonitor,
     ConservationMonitor,
+    InvariantMonitor,
     LifecycleMonitor,
     MatchingMonitor,
     Sanitizer,
@@ -357,3 +363,126 @@ class TestSanitizer:
         assert "0 violations" in san.summary()
         san.monitors[0].flag(1.0, "synthetic", "injected by test")
         assert "1 violation" in san.summary()
+
+
+# ------------------------------------------------------------------- routing
+#: Matching-queue and fault-injector kinds, composed at run time under the
+#: schema's wildcard prefixes.
+_QUEUE_KINDS = ("q_post", "q_match", "q_remove", "q_unex_add", "q_unex_match")
+_FAULT_KINDS = ("fault_drop", "fault_dup", "fault_timewarp", "fault_drop_ack",
+                "fault_spurious_completion")
+
+
+def _detail(kind, rng):
+    """A well-formed detail for ``kind`` with small, colliding ids, so the
+    stream breaks invariants as well as keeping them."""
+    if kind.startswith("q_"):
+        return SimpleNamespace(req_id=rng.randrange(6),
+                               msg_id=rng.randrange(6),
+                               done=rng.random() < 0.3)
+    if kind.startswith("fault_") or kind in ("packet_tx", "wire_tx",
+                                             "wire_drop", "wire_rx", "nic_rx"):
+        return (rng.choice(("data", "ack")), rng.randrange(4),
+                rng.randrange(3))
+    if kind == "kernel":
+        return "<Event>"
+    if kind == "schedule_past":
+        return (-rng.random() * 1e-6,)
+    if kind == "gm_tokens":
+        return (rng.randrange(2), rng.randrange(-1, 10), 8)
+    return tuple(rng.randrange(6) for _ in EVENT_SCHEMAS[kind])
+
+
+def _every_kind_stream(n=2000, seed=11):
+    """Records of every declared kind plus ``q_*`` and ``fault_*`` ones:
+    one of each first, then a seeded mix (times jitter, so some step
+    backwards per source).  The drop kinds come last: after a drop the
+    conservation monitor excuses duplicates."""
+    rng = random.Random(seed)
+    drops = ("wire_drop", "fault_drop")
+    kinds = [k for k in sorted(EVENT_SCHEMAS) + list(_QUEUE_KINDS)
+             + list(_FAULT_KINDS) if k not in drops]
+    order = kinds + [rng.choice(kinds) for _ in range(n)] + list(drops)
+    sources = ("node0.nic", "node1.nic", "rank0.posted", "rank1.unexpected")
+    t = 0.0
+    stream = []
+    for kind in order:
+        t += rng.uniform(-1e-7, 1e-6)
+        stream.append(TraceRecord(t, rng.choice(sources), kind,
+                                  _detail(kind, rng)))
+    return stream
+
+
+def _feed(sanitizer, stream):
+    for rec in stream:
+        sanitizer.tracer.record(rec.time, rec.source, rec.kind, rec.detail)
+
+
+class _SeeAll(InvariantMonitor):
+    """Declares no kinds: logs every record it is handed."""
+
+    name = "see_all"
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def on_record(self, rec):
+        self.seen.append(rec)
+
+
+class TestRouting:
+    """The sanitizer calls each monitor only for the kinds it declares;
+    that must be invisible next to every monitor seeing every record."""
+
+    def test_routed_equals_every_record_to_every_monitor(self):
+        stream = _every_kind_stream()
+        routed = Sanitizer(quiescent=True)
+        _feed(routed, stream)
+        direct = default_monitors()
+        for rec in stream:
+            for m in direct:
+                m.on_record(rec)
+        assert routed.violations == [v for m in direct for v in m.violations]
+        for r, d in zip(routed.monitors, direct):
+            assert vars(r) == vars(d), r.name
+        # The stream exercises the monitors, not just their silence.
+        flagged = {name for name, n in routed.counts().items() if n}
+        assert flagged >= {"conservation", "causality", "tokens", "matching",
+                           "lifecycle"}
+
+    def test_monitor_without_kinds_sees_every_record(self):
+        stream = _every_kind_stream(n=200)
+        see_all = _SeeAll()
+        san = Sanitizer(monitors=default_monitors() + [see_all])
+        _feed(san, stream)
+        assert see_all.seen == stream
+
+    def test_dispatch_override_sees_every_record(self):
+        """Including the first record of each kind, which builds its
+        route: routing lives behind ``dispatch``, never around it."""
+        seen = []
+
+        class Spy(Sanitizer):
+            def dispatch(self, rec):
+                seen.append(rec)
+                super().dispatch(rec)
+
+        stream = _every_kind_stream(n=200)
+        _feed(Spy(), stream)
+        assert seen == stream
+
+    def test_declared_kinds_are_known(self):
+        """A misspelt declared kind would switch a check off silently."""
+        declared = {
+            m.name: sorted(m.kinds) for m in default_monitors()
+            if m.kinds is not None
+        }
+        declared["observer"] = sorted(Observer()._handlers)
+        assert set(declared) == {"conservation", "tokens", "matching",
+                                 "lifecycle", "observer"}
+        unknown = {
+            name: [k for k in kinds if not is_known_kind(k)]
+            for name, kinds in declared.items()
+        }
+        assert unknown == {name: [] for name in declared}
