@@ -5,7 +5,7 @@ regressions in the kernel or CPU model show up as slower sweeps.
 """
 
 from repro.config import gm_system, portals_system
-from repro.baselines import run_pingpong
+from repro.baselines import PingPongConfig, run_pingpong
 from repro.core import PollingConfig, run_polling
 from repro.sim import Engine
 
@@ -31,7 +31,8 @@ def test_engine_event_throughput(benchmark):
 
 def test_pingpong_cost(benchmark):
     """A 20-exchange GM ping-pong (MPI + transport + NIC hot path)."""
-    result = benchmark(lambda: run_pingpong(gm_system(), 100 * KB))
+    result = benchmark(
+        lambda: run_pingpong(gm_system(), PingPongConfig(100 * KB)))
     assert result.bandwidth_MBps > 30
 
 

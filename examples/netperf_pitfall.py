@@ -12,7 +12,7 @@ Usage::
 """
 
 from repro import PollingConfig, gm_system, portals_system, run_polling, tcp_system
-from repro.baselines import run_netperf
+from repro.baselines import NetperfConfig, run_netperf
 
 KB = 1024
 
@@ -22,8 +22,8 @@ def main() -> None:
           f"{'COMB polling':>14s}")
     for factory in (gm_system, tcp_system, portals_system):
         system = factory()
-        block = run_netperf(system, msg_bytes=100 * KB, wait_mode="blocking")
-        spin = run_netperf(system, msg_bytes=100 * KB, wait_mode="busywait")
+        block = run_netperf(system, NetperfConfig(100 * KB, "blocking"))
+        spin = run_netperf(system, NetperfConfig(100 * KB, "busywait"))
         comb = run_polling(system, PollingConfig(
             msg_bytes=100 * KB, poll_interval_iters=1_000,
         ))

@@ -10,10 +10,11 @@ actually wants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence, cast
 
-from ..baselines.pingpong import run_pingpong
+from ..baselines.pingpong import PingPongConfig, PingPongResult
 from ..config import SystemConfig
+from ..core.executor import PointTask, SweepExecutor
 from ..core.suite import CombSuite
 from ..sim.units import to_mbps, to_usec
 
@@ -64,8 +65,10 @@ def summarize_system(
     plateau_interval_iters: int = 1_000,
 ) -> SystemSummary:
     """Compute one comparison row (a handful of short runs)."""
-    suite = CombSuite(system)
-    ping = run_pingpong(system, 0, repeats=8, warmup_msgs=2)
+    executor = SweepExecutor()
+    suite = CombSuite(system, executor)
+    ping = cast(PingPongResult, executor.run_one(PointTask(
+        "pingpong", system, PingPongConfig(0, repeats=8, warmup_msgs=2))))
     plateau = suite.polling(
         msg_bytes=msg_bytes, poll_interval_iters=plateau_interval_iters,
         measure_s=0.04,

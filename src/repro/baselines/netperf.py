@@ -20,10 +20,11 @@ is directly observable (see ``examples/netperf_pitfall.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Optional
 
 from ..config import SystemConfig
+from ..core.accounting import tally_events
 from ..mpi.world import build_world
 from ..sim.units import to_mbps
 
@@ -31,6 +32,18 @@ from ..sim.units import to_mbps
 #: default 4 ns/iteration — long enough to span many scheduler quanta, so
 #: a busy-waiting co-located process actually shares the CPU.
 DELAY_ITERS = 25_000_000
+
+
+@dataclass(frozen=True)
+class NetperfConfig:
+    """Parameters of one netperf-style measurement."""
+
+    #: Message payload size of each echoed exchange.
+    msg_bytes: int = 100 * 1024
+    #: "blocking" (select semantics) or "busywait" (MPI semantics).
+    wait_mode: str = "blocking"
+    #: Delay-loop iterations per measured phase (dry, then loaded).
+    delay_iters: int = DELAY_ITERS
 
 
 @dataclass
@@ -47,6 +60,8 @@ class NetperfResult:
     loaded_s: float
     #: Communication goodput achieved meanwhile (both directions).
     bandwidth_Bps: float
+    #: Replication summary; see :class:`~repro.core.PollingPoint.replication`.
+    replication: Optional[Dict[str, Any]] = None
 
     @property
     def availability(self) -> float:
@@ -58,21 +73,27 @@ class NetperfResult:
         """Bandwidth in MB/s."""
         return to_mbps(self.bandwidth_Bps)
 
+    def to_dict(self) -> dict:
+        """Plain-dict form (JSON export)."""
+        d = asdict(self)
+        if d.get("replication") is None:
+            d.pop("replication", None)
+        d["availability"] = self.availability
+        d["bandwidth_MBps"] = self.bandwidth_MBps
+        return d
 
-def run_netperf(
-    system: SystemConfig,
-    msg_bytes: int = 100 * 1024,
-    wait_mode: str = "blocking",
-    delay_iters: int = DELAY_ITERS,
-) -> NetperfResult:
+
+def run_netperf(system: SystemConfig, cfg: NetperfConfig) -> NetperfResult:
     """Run the two-process netperf scheme on node 0.
 
-    ``wait_mode='blocking'`` yields the CPU while waiting (netperf's
+    ``cfg.wait_mode='blocking'`` yields the CPU while waiting (netperf's
     assumption); ``'busywait'`` spins in the MPI wait, as OS-bypass MPI
     implementations do.
     """
-    if wait_mode not in ("blocking", "busywait"):
+    if cfg.wait_mode not in ("blocking", "busywait"):
         raise ValueError("wait_mode must be 'blocking' or 'busywait'")
+    msg_bytes, wait_mode, delay_iters = (
+        cfg.msg_bytes, cfg.wait_mode, cfg.delay_iters)
     world = build_world(system)
     engine = world.engine
     node0 = world.cluster[0]
@@ -122,6 +143,7 @@ def run_netperf(
     engine.spawn(comm_proc(), name="netperf.comm")
     engine.spawn(echo_proc(), name="netperf.echo")
     engine.run(proc)
+    tally_events(engine.events_processed)
     return NetperfResult(
         system=system.name,
         msg_bytes=msg_bytes,

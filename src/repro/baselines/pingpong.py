@@ -8,12 +8,25 @@ Included both as a baseline and as a calibration aid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Optional
 
 from ..config import SystemConfig
+from ..core.accounting import tally_events
 from ..mpi.world import build_world
 from ..sim.units import to_mbps
+
+
+@dataclass(frozen=True)
+class PingPongConfig:
+    """Parameters of one ping-pong measurement."""
+
+    #: Message payload size.
+    msg_bytes: int
+    #: Timed exchanges; the latency is their mean half round trip.
+    repeats: int = 20
+    #: Untimed exchanges before the first timed one.
+    warmup_msgs: int = 3
 
 
 @dataclass
@@ -27,28 +40,37 @@ class PingPongResult:
     #: One-way goodput: msg_bytes / half-RTT.
     bandwidth_Bps: float
     repeats: int
+    #: Replication summary; see :class:`~repro.core.PollingPoint.replication`.
+    replication: Optional[Dict[str, Any]] = None
 
     @property
     def bandwidth_MBps(self) -> float:
         """Bandwidth in MB/s."""
         return to_mbps(self.bandwidth_Bps)
 
+    def to_dict(self) -> dict:
+        """Plain-dict form (JSON export)."""
+        d = asdict(self)
+        if d.get("replication") is None:
+            d.pop("replication", None)
+        d["bandwidth_MBps"] = self.bandwidth_MBps
+        return d
+
 
 def run_pingpong(
-    system: SystemConfig,
-    msg_bytes: int,
-    repeats: int = 20,
-    warmup_msgs: int = 3,
-    topology=None,
+    system: SystemConfig, cfg: PingPongConfig, topology=None
 ) -> PingPongResult:
-    """Measure mean half-RTT over ``repeats`` exchanges (after warmup_msgs).
+    """Measure mean half-RTT over ``cfg.repeats`` exchanges (after
+    ``cfg.warmup_msgs``).
 
     ``topology`` selects the fabric (``None``: the paper's crossbar
     switch) — the differential tests use an explicit two-node topology
     to pin it bit-identical against the default wiring.
     """
-    if repeats < 1 or warmup_msgs < 0:
+    if cfg.repeats < 1 or cfg.warmup_msgs < 0:
         raise ValueError("repeats >= 1 and warmup_msgs >= 0 required")
+    msg_bytes, repeats, warmup_msgs = (
+        cfg.msg_bytes, cfg.repeats, cfg.warmup_msgs)
     world = build_world(system, topology=topology)
     engine = world.engine
     ctx0 = world.cluster[0].new_context("pingpong.initiator")
@@ -75,6 +97,7 @@ def run_pingpong(
     proc = engine.spawn(initiator(), name="pingpong.initiator")
     engine.spawn(echo(), name="pingpong.echo")
     engine.run(proc)
+    tally_events(engine.events_processed)
     half = out["rtt"] / 2
     return PingPongResult(
         system=system.name,

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..config import SystemConfig
-from ..core.pww import PwwConfig, run_pww
 from ..core.workloop import work_time
-from .pingpong import run_pingpong
 
 
 @dataclass
@@ -45,18 +43,19 @@ def classify_overlap(
     threshold: float = 0.5,
 ) -> OverlapClassification:
     """Classify one message size."""
+    # Imported here: the executor imports this package for its baseline
+    # kinds, so a module-level import of the suite would cycle.
+    from ..core.suite import CombSuite
+
+    suite = CombSuite(system)
     # Communication-only cycle: PWW with zero work.
-    comm = run_pww(
-        system, PwwConfig(msg_bytes=msg_bytes, work_interval_iters=0)
-    )
+    comm = suite.pww(msg_bytes=msg_bytes, work_interval_iters=0)
     t_comm_s = comm.post_s + comm.wait_s
     # Pick a work interval close to the communication time.
     iter_s = system.machine.cpu.work_iter_s
     work_iters = max(1, int(t_comm_s / iter_s))
     t_work_s = work_time(system, work_iters)
-    both = run_pww(
-        system, PwwConfig(msg_bytes=msg_bytes, work_interval_iters=work_iters)
-    )
+    both = suite.pww(msg_bytes=msg_bytes, work_interval_iters=work_iters)
     t_both_s = both.post_s + both.work_s + both.wait_s
     denom = min(t_comm_s, t_work_s)
     frac = (t_comm_s + t_work_s - t_both_s) / denom if denom > 0 else 0.0

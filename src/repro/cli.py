@@ -86,7 +86,7 @@ from typing import List, Optional
 
 from .analysis import (FIGURE_SPECS, export_figures, format_report, render,
                        run_all, run_figure)
-from .baselines import run_netperf
+from .baselines import NetperfConfig, NetperfResult
 from .config import PRESETS, get_system, preset_names
 from .core import (
     CombSuite,
@@ -97,7 +97,7 @@ from .core import (
     PwwPoint,
     SweepExecutor,
 )
-from .core.executor import DEFAULT_CACHE_DIR, PointTask
+from .core.executor import _METHODS, DEFAULT_CACHE_DIR, PointTask
 from .patterns import PATTERN_KINDS, PatternConfig
 
 #: ``comb pattern`` / ``comb trace`` accept ``halo`` for halo2d.
@@ -119,6 +119,7 @@ _POINT_OPTIONS = {
         "ghost_width": "ghost_width", "algorithm": "algorithm",
         "grid": "grid",
     }),
+    "netperf": (NetperfConfig, {"mode": "wait_mode"}),
 }
 
 
@@ -139,6 +140,19 @@ def _non_negative_int(text: str) -> int:
 
 def _rank_count(text: str) -> int:
     return _int_at_least(text, 2)  # a pattern needs two ranks
+
+
+def _size_kb(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, non-negative number of KB, got {text}")
+    return value
+
+
+def _add_size(parser: argparse.ArgumentParser,
+              help: str = "message size (KB)") -> None:
+    parser.add_argument("--size", type=_size_kb, default=100, help=help)
 
 
 def _positive_seconds(text: str) -> float:
@@ -364,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polling", help="one polling-method measurement")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
+    _add_size(p)
     p.add_argument("--interval", type=_positive_int, default=10_000,
                    help="poll interval (loop iterations)")
     p.add_argument("--queue-depth", type=_positive_int, default=4)
@@ -372,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pww", help="one post-work-wait measurement")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
+    _add_size(p)
     p.add_argument("--interval", type=_non_negative_int, default=100_000,
                    help="work interval (loop iterations)")
     p.add_argument("--tests-in-work", type=int, default=0,
@@ -389,8 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_system(p)
     p.add_argument("--ranks", type=_rank_count, default=4,
                    help="rank count (one rank per node; default: 4)")
-    p.add_argument("--size", type=float, default=100,
-                   help="message size per neighbor/round (KB)")
+    _add_size(p, "message size per neighbor/round (KB)")
     p.add_argument("--interval", type=_non_negative_int, default=100_000,
                    help="work interval per iteration (loop iterations)")
     p.add_argument("--iterations", type=_positive_int, default=6,
@@ -413,11 +426,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("offload", help="application-offload verdict (§4.1)")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
+    _add_size(p)
 
     p = sub.add_parser("netperf", help="netperf-style availability (§5)")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100, help="message size (KB)")
+    _add_size(p)
     p.add_argument("--mode", default="busywait",
                    choices=("blocking", "busywait"))
 
@@ -440,8 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=preset_names(),
                    help="preset names (default: the paper's presets, plus "
                    "the offload NIC)")
-    p.add_argument("--size", type=float, default=100,
-                   help="message size (KB)")
+    _add_size(p)
 
     p = sub.add_parser(
         "history",
@@ -453,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default=None,
                    help="restrict point records to this system preset")
     p.add_argument("--kind", default=None,
-                   choices=("polling", "pww", "pattern"),
+                   choices=tuple(_METHODS),
                    help="restrict point records to this method kind")
     p.add_argument("--last", type=_positive_int, default=None, metavar="N",
                    help="only the newest N runs")
@@ -492,8 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "'polling', 'pww', or a pattern kind "
                    "(halo/halo2d/halo3d/sweep/allreduce)")
     _add_system(p)
-    p.add_argument("--size", type=float, default=100,
-                   help="message size (KB; point targets)")
+    _add_size(p, "message size (KB; point targets)")
     p.add_argument("--interval", type=_non_negative_int, default=None,
                    help="poll/work interval in loop iterations "
                    "(point targets; default: the method's default)")
@@ -782,7 +793,8 @@ def _run_top(args: argparse.Namespace) -> int:
 
 def _point_task(args: argparse.Namespace, kind: str) -> PointTask:
     """The point a command line names: ``kind`` is ``polling``, ``pww``,
-    or a pattern (alias) from ``comb pattern`` or ``comb trace``."""
+    ``netperf``, or a pattern (alias) from ``comb pattern`` or ``comb
+    trace``."""
     pattern = _PATTERN_ALIASES.get(kind)
     cfg_type, options = _POINT_OPTIONS["pattern" if pattern else kind]
     given = vars(args)
@@ -814,6 +826,10 @@ def _print_point(pt) -> None:
         print(f"  work  = {pt.work_s * 1e6:8.1f} us/batch "
               f"(dry {pt.work_dry_s * 1e6:.1f} us)")
         print(f"  wait  = {pt.wait_s * 1e6:8.1f} us/batch")
+    elif isinstance(pt, NetperfResult):
+        print(f"{pt.system} netperf ({pt.wait_mode}): "
+              f"availability={pt.availability:.3f}, "
+              f"bandwidth={pt.bandwidth_MBps:.2f} MB/s")
     else:
         algo = f" [{pt.algorithm}]" if pt.algorithm else ""
         print(f"{pt.system}: {pt.pattern}{algo}, {pt.ranks} ranks on "
@@ -852,24 +868,16 @@ def _run_command(args: argparse.Namespace) -> int:
     """Run one parsed subcommand; returns its exit code."""
     if args.command in _POINT_OPTIONS:
         kind = args.pattern if args.command == "pattern" else args.command
-        with SweepExecutor(jobs=1, cache=None, check=args.check) as executor:
+        check = getattr(args, "check", False)  # netperf has no --check
+        with SweepExecutor(jobs=1, cache=None, check=check) as executor:
             _print_point(executor.run_one(_point_task(args, kind)))
-        if args.check:
+        if check:
             return _report_violations(executor.violations)
         return 0
 
     if args.command == "offload":
         suite = CombSuite(get_system(args.system))
         print(suite.offload_report(msg_bytes=int(args.size * 1024)))
-        return 0
-
-    if args.command == "netperf":
-        r = run_netperf(get_system(args.system),
-                        msg_bytes=int(args.size * 1024),
-                        wait_mode=args.mode)
-        print(f"{r.system} netperf ({r.wait_mode}): "
-              f"availability={r.availability:.3f}, "
-              f"bandwidth={r.bandwidth_MBps:.2f} MB/s")
         return 0
 
     if args.command in ("figures", "report"):

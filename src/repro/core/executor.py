@@ -49,6 +49,8 @@ from typing import (
     Sequence, Tuple, Union,
 )
 
+from ..baselines.netperf import NetperfConfig, NetperfResult, run_netperf
+from ..baselines.pingpong import PingPongConfig, PingPongResult, run_pingpong
 from ..config import SystemConfig
 from ..obs.context import current_observer
 from ..obs.lifecycle import (
@@ -85,7 +87,8 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 #: Any method's per-point result record.
-Point = Union[PollingPoint, PwwPoint, PatternPoint]
+Point = Union[PollingPoint, PwwPoint, PatternPoint, PingPongResult,
+              NetperfResult]
 
 #: One simulated point's outcome: ``(point, violations, wall_s, events)``.
 _SimOut = Tuple[Point, List[Any], float, int]
@@ -102,6 +105,8 @@ _METHODS = {
     "polling": (PollingConfig, run_polling, PollingPoint),
     "pww": (PwwConfig, run_pww, PwwPoint),
     "pattern": (PatternConfig, run_pattern, PatternPoint),
+    "pingpong": (PingPongConfig, run_pingpong, PingPongResult),
+    "netperf": (NetperfConfig, run_netperf, NetperfResult),
 }
 
 
@@ -114,7 +119,8 @@ class PointTask:
 
     kind: str
     system: SystemConfig
-    cfg: Union[PollingConfig, PwwConfig, PatternConfig]
+    cfg: Union[PollingConfig, PwwConfig, PatternConfig, PingPongConfig,
+               NetperfConfig]
 
     def __post_init__(self) -> None:
         if self.kind not in _METHODS:
@@ -132,7 +138,9 @@ def run_task(task: PointTask) -> Point:
 def _point_marker(task: PointTask) -> Tuple[str, str, int, int, int]:
     """``point_start`` detail: ``(kind, system, msg_bytes, interval_iters,
     warmup_windows)``.  Polling self-describes its window (``poll_window``
-    events), so its warmup count is 0."""
+    events), so its warmup count is 0.  The baselines have no attributed
+    windows: a netperf point's interval is its delay loop, a ping-pong
+    point has none."""
     cfg = task.cfg
     if isinstance(cfg, PwwConfig):
         return (task.kind, task.system.name, cfg.msg_bytes,
@@ -140,6 +148,11 @@ def _point_marker(task: PointTask) -> Tuple[str, str, int, int, int]:
     if isinstance(cfg, PatternConfig):
         return (task.kind, task.system.name, cfg.msg_bytes,
                 cfg.work_interval_iters, cfg.warmup_iterations)
+    if isinstance(cfg, PingPongConfig):
+        return (task.kind, task.system.name, cfg.msg_bytes, 0, 0)
+    if isinstance(cfg, NetperfConfig):
+        return (task.kind, task.system.name, cfg.msg_bytes,
+                cfg.delay_iters, 0)
     return (task.kind, task.system.name, cfg.msg_bytes,
             cfg.poll_interval_iters, 0)
 
@@ -169,6 +182,17 @@ def _sim_entry(task: PointTask, check: bool = False) -> _SimOut:
         point, violations = run_task(task), []
     wall_s = time.perf_counter() - t0_wall
     return point, violations, wall_s, drain_events()
+
+
+def _stop_samples(points: Sequence[Any]) -> List[float]:
+    """What the adaptive stopping rule judges for one point's replicates:
+    each availability, or, for a ping-pong point (which has none), each
+    latency over replicate 0's, so ``ci_width`` is a fraction either
+    way."""
+    if isinstance(points[0], PingPongResult):
+        base = points[0].latency_s
+        return [p.latency_s / base for p in points]
+    return [p.availability for p in points]
 
 
 # --------------------------------------------------------------------- keys
@@ -324,7 +348,7 @@ _LEAVES: Dict[type, Callable[[Any], str]] = {
 #: analysis/plotting layers are deliberately excluded: they postprocess
 #: points but never influence them.
 _SALT_SOURCES = ("sim", "hardware", "transport", "os", "mpi", "core",
-                 "patterns", "config.py")
+                 "patterns", "baselines", "config.py")
 
 _code_salt: Optional[str] = None
 
@@ -503,8 +527,9 @@ class SweepExecutor:
         carrying a ``replication`` summary.
     ci_width:
         Adaptive stopping tolerance: with ``reps > 1``, stop replicating
-        a point once the bootstrap CI of its availability is at most
-        this wide (never exceeding the ``reps`` cap).  ``None``
+        a point once the bootstrap CI of its availability (a ping-pong
+        point's latency relative to replicate 0) is at most this wide
+        (never exceeding the ``reps`` cap).  ``None``
         (default) runs the fixed design of exactly ``reps`` replicates.
         Ignored when ``reps == 1``.
     metrics, telemetry, point_log:
@@ -730,9 +755,7 @@ class SweepExecutor:
                 samples[owner].append(point)
             still: List[Tuple[int, PointTask]] = []
             for i, task in active:
-                verdict = rule.decide(
-                    [p.availability for p in samples[i]]
-                )
+                verdict = rule.decide(_stop_samples(samples[i]))
                 if verdict is None:
                     still.append((i, task))
                 else:

@@ -25,15 +25,17 @@ Supported experiment kinds: ``polling`` (sweep over ``intervals``),
 ``pattern`` names halo2d/halo3d/sweep/allreduce, sweeping ``ranks`` over
 ``rank_counts`` on a named ``topology``).  Extra per-point options go
 under ``config`` and feed the corresponding Config dataclass (e.g.
-``"config": {"peers": 3}`` makes a polling experiment a 3-peer fan-in).
+``"config": {"peers": 3}`` makes a polling experiment a 3-peer fan-in,
+``"config": {"repeats": 8}`` shortens a ping-pong).
 
 A top-level ``"replication"`` object requests replicated measurement
-for the point-producing kinds (polling/pww/pattern)::
+for the point-producing kinds (polling/pww/pattern/pingpong/netperf)::
 
     {"replication": {"reps": 5, "ci_width": 0.02}, ...}
 
 Each point then runs as up to ``reps`` sub-runs on named RNG substreams
-(optionally stopping early once the availability CI is at most
+(optionally stopping early once the availability CI — for a ping-pong
+point, the CI of its latency relative to replicate 0 — is at most
 ``ci_width`` wide) and its result dict carries a ``replication``
 summary.  Without the key — or with ``reps: 1`` — each point is one
 single-shot run.  Either way every point runs through one
@@ -45,13 +47,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
-from .baselines import run_netperf, run_pingpong
 from .config import SystemConfig, get_system, preset_names
-from .core import CombSuite, PollingConfig, PwwConfig
-from .core.executor import PointTask, SweepExecutor
-from .patterns import PatternConfig
+from .core import CombSuite
+from .core.executor import _METHODS, PointTask, SweepExecutor
 
 KB = 1024
 
@@ -113,75 +113,133 @@ def _config(cls: type, extra: Dict[str, Any], **fields: Any) -> Any:
         raise ScenarioError(f"{cls.__name__}: {exc}") from None
 
 
+class _Experiment:
+    """One experiment spec bound to the system and executor it runs on."""
+
+    def __init__(self, system: SystemConfig, spec: Dict[str, Any],
+                 executor: SweepExecutor) -> None:
+        self.system = system
+        self.spec = spec
+        self.executor = executor
+        self.msg_bytes = int(_number(spec.get("msg_kb", 100), "'msg_kb'") * KB)
+
+    def numbers(self, key: str, default: List[Any], what: str) -> List[Any]:
+        """The spec's ``key`` list, each entry checked to be a number."""
+        return [_number(value, what) for value in self.spec.get(key, default)]
+
+    def point(self, kind: str, **fields: Any) -> Dict[str, Any]:
+        """One executor point of ``kind``; the spec's ``config`` object
+        adds to ``fields``.  Returns the point's result dict."""
+        cfg = _config(_METHODS[kind][0], self.spec.get("config", {}),
+                      **fields)
+        return self.executor.run_one(
+            PointTask(kind, self.system, cfg)).to_dict()
+
+
+def _polling(exp: _Experiment) -> Dict[str, Any]:
+    return {"points": [
+        exp.point("polling", msg_bytes=exp.msg_bytes,
+                  poll_interval_iters=int(interval_iters))
+        for interval_iters in exp.numbers("intervals", [10_000], "interval")
+    ]}
+
+
+def _pww(exp: _Experiment) -> Dict[str, Any]:
+    return {"points": [
+        exp.point("pww", msg_bytes=exp.msg_bytes,
+                  work_interval_iters=int(interval_iters))
+        for interval_iters in exp.numbers("intervals", [100_000], "interval")
+    ]}
+
+
+def _offload(exp: _Experiment) -> Dict[str, Any]:
+    verdict = CombSuite(exp.system, exp.executor).offload_verdict(
+        msg_bytes=exp.msg_bytes)
+    return {
+        "offloaded": verdict.offloaded,
+        "wait_short_s": verdict.wait_short_s,
+        "wait_long_s": verdict.wait_long_s,
+        "summary": verdict.summary(),
+    }
+
+
+def _netperf(exp: _Experiment) -> Dict[str, Any]:
+    point = exp.point("netperf", msg_bytes=exp.msg_bytes,
+                      wait_mode=exp.spec.get("mode", "busywait"))
+    return {"mode": point["wait_mode"], **point}
+
+
+def _pingpong(exp: _Experiment) -> Dict[str, Any]:
+    return {"points": [
+        exp.point("pingpong", msg_bytes=int(size_kb * KB))
+        for size_kb in exp.numbers("sizes_kb", [100], "size")
+    ]}
+
+
+def _pattern(exp: _Experiment) -> Dict[str, Any]:
+    return {"points": [
+        exp.point("pattern", pattern=exp.spec.get("pattern", "halo2d"),
+                  ranks=int(ranks), msg_bytes=exp.msg_bytes,
+                  topology=exp.spec.get("topology", "crossbar"))
+        for ranks in exp.numbers("rank_counts", [4], "rank count")
+    ]}
+
+
+def _interval_line(exp: Dict[str, Any], p: Dict[str, Any]) -> str:
+    x = p.get("poll_interval_iters", p.get("work_interval_iters"))
+    return (f"  {exp['kind']:8s} interval={x:>10}: "
+            f"bw={p['bandwidth_MBps']:7.2f} MB/s "
+            f"avail={p['availability']:.3f}")
+
+
+def _offload_line(exp: Dict[str, Any], _p: Dict[str, Any]) -> str:
+    return f"  offload  {exp['summary']}"
+
+
+def _netperf_line(exp: Dict[str, Any], _p: Dict[str, Any]) -> str:
+    return (f"  netperf  {exp['mode']}: "
+            f"avail={exp['availability']:.3f} "
+            f"bw={exp['bandwidth_Bps'] / 1e6:.2f} MB/s")
+
+
+def _pingpong_line(_exp: Dict[str, Any], p: Dict[str, Any]) -> str:
+    return (f"  pingpong {p['msg_bytes'] // KB:>6d} KB: "
+            f"lat={p['latency_s'] * 1e6:8.1f} us "
+            f"bw={p['bandwidth_Bps'] / 1e6:7.2f} MB/s")
+
+
+def _pattern_line(_exp: Dict[str, Any], p: Dict[str, Any]) -> str:
+    return (f"  {p['pattern']:8s} ranks={p['ranks']:>3d} "
+            f"({p['topology']}): "
+            f"avail={p['availability']:.3f} "
+            f"[{p['availability_min']:.3f}"
+            f"..{p['availability_max']:.3f}] "
+            f"bw={p['bandwidth_MBps']:7.2f} MB/s")
+
+
+#: Experiment kind -> (runner, formatter): the one dispatch on the kind.
+#: A runner returns the fields of the kind's result (after ``kind``); a
+#: formatter renders one line of :func:`format_scenario_results` from
+#: the result and one of its points (the result itself if it has none).
+_KINDS: Dict[str, Tuple[Callable[[_Experiment], Dict[str, Any]],
+                        Callable[[Dict[str, Any], Dict[str, Any]], str]]] = {
+    "polling": (_polling, _interval_line),
+    "pww": (_pww, _interval_line),
+    "offload": (_offload, _offload_line),
+    "netperf": (_netperf, _netperf_line),
+    "pingpong": (_pingpong, _pingpong_line),
+    "pattern": (_pattern, _pattern_line),
+}
+
+
 def _run_experiment(
     system: SystemConfig, spec: Dict[str, Any], executor: SweepExecutor
 ) -> Dict:
+    exp = _Experiment(system, spec, executor)
     kind = spec.get("kind")
-    msg_bytes = int(_number(spec.get("msg_kb", 100), "'msg_kb'") * KB)
-    cfg_extra = spec.get("config", {})
-
-    def run_point(point_kind: str, cfg) -> Dict:
-        return executor.run_one(PointTask(point_kind, system, cfg)).to_dict()
-
-    if kind == "polling":
-        points = []
-        for interval_iters in spec.get("intervals", [10_000]):
-            cfg = _config(
-                PollingConfig, cfg_extra, msg_bytes=msg_bytes,
-                poll_interval_iters=int(_number(interval_iters, "interval")),
-            )
-            points.append(run_point("polling", cfg))
-        return {"kind": kind, "points": points}
-    if kind == "pww":
-        points = []
-        for interval_iters in spec.get("intervals", [100_000]):
-            cfg = _config(
-                PwwConfig, cfg_extra, msg_bytes=msg_bytes,
-                work_interval_iters=int(_number(interval_iters, "interval")),
-            )
-            points.append(run_point("pww", cfg))
-        return {"kind": kind, "points": points}
-    if kind == "offload":
-        verdict = CombSuite(system, executor).offload_verdict(
-            msg_bytes=msg_bytes)
-        return {
-            "kind": kind,
-            "offloaded": verdict.offloaded,
-            "wait_short_s": verdict.wait_short_s,
-            "wait_long_s": verdict.wait_long_s,
-            "summary": verdict.summary(),
-        }
-    if kind == "netperf":
-        res = run_netperf(system, msg_bytes=msg_bytes,
-                          wait_mode=spec.get("mode", "busywait"))
-        return {
-            "kind": kind, "mode": res.wait_mode,
-            "availability": res.availability,
-            "bandwidth_Bps": res.bandwidth_Bps,
-        }
-    if kind == "pingpong":
-        results = []
-        for size_kb in spec.get("sizes_kb", [100]):
-            r = run_pingpong(system, int(_number(size_kb, "size") * KB))
-            results.append({
-                "msg_bytes": r.msg_bytes,
-                "latency_s": r.latency_s,
-                "bandwidth_Bps": r.bandwidth_Bps,
-            })
-        return {"kind": kind, "points": results}
-    if kind == "pattern":
-        points = []
-        for ranks in spec.get("rank_counts", [4]):
-            cfg = _config(
-                PatternConfig, cfg_extra,
-                pattern=spec.get("pattern", "halo2d"),
-                ranks=int(_number(ranks, "rank count")),
-                msg_bytes=msg_bytes,
-                topology=spec.get("topology", "crossbar"),
-            )
-            points.append(run_point("pattern", cfg))
-        return {"kind": kind, "points": points}
-    raise ScenarioError(f"unknown experiment kind {kind!r}")
+    if kind not in _KINDS:
+        raise ScenarioError(f"unknown experiment kind {kind!r}")
+    return {"kind": kind, **_KINDS[kind][0](exp)}
 
 
 def _executor(spec: Dict[str, Any], point_log: bool) -> SweepExecutor:
@@ -280,39 +338,6 @@ def format_scenario_results(results: Dict) -> str:
     for entry in results["systems"]:
         lines.append(f"\n[{entry['label']}]")
         for exp in entry["experiments"]:
-            kind = exp["kind"]
-            if kind in ("polling", "pww"):
-                for p in exp["points"]:
-                    x = p.get("poll_interval_iters",
-                              p.get("work_interval_iters"))
-                    lines.append(
-                        f"  {kind:8s} interval={x:>10}: "
-                        f"bw={p['bandwidth_MBps']:7.2f} MB/s "
-                        f"avail={p['availability']:.3f}"
-                    )
-            elif kind == "offload":
-                lines.append(f"  offload  {exp['summary']}")
-            elif kind == "netperf":
-                lines.append(
-                    f"  netperf  {exp['mode']}: "
-                    f"avail={exp['availability']:.3f} "
-                    f"bw={exp['bandwidth_Bps'] / 1e6:.2f} MB/s"
-                )
-            elif kind == "pingpong":
-                for p in exp["points"]:
-                    lines.append(
-                        f"  pingpong {p['msg_bytes'] // KB:>6d} KB: "
-                        f"lat={p['latency_s'] * 1e6:8.1f} us "
-                        f"bw={p['bandwidth_Bps'] / 1e6:7.2f} MB/s"
-                    )
-            elif kind == "pattern":
-                for p in exp["points"]:
-                    lines.append(
-                        f"  {p['pattern']:8s} ranks={p['ranks']:>3d} "
-                        f"({p['topology']}): "
-                        f"avail={p['availability']:.3f} "
-                        f"[{p['availability_min']:.3f}"
-                        f"..{p['availability_max']:.3f}] "
-                        f"bw={p['bandwidth_MBps']:7.2f} MB/s"
-                    )
+            line = _KINDS[exp["kind"]][1]
+            lines.extend(line(exp, p) for p in exp.get("points", [exp]))
     return "\n".join(lines)

@@ -198,6 +198,42 @@ class TestParsing:
         assert "error: argument --" in err and "must be >= " in err
 
 
+    @pytest.mark.parametrize("command", [
+        ["polling"], ["pww"], ["pattern", "halo"], ["offload"], ["netperf"],
+        ["compare"], ["trace", "polling"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("size", ["-1", "inf", "nan"])
+    def test_bad_size_is_one_error_line(self, command, size, capsys):
+        """A negative or non-finite ``--size`` fails in the parser: exit
+        2 and one ``error:`` line, not a ``ValueError`` traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--size", size])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "argument --size" in errors[0]
+        assert "Traceback" not in err
+
+
+def test_history_filters_baseline_kinds(tmp_path, capsys):
+    """``comb history --kind`` offers every executor kind, so the
+    ledger's ping-pong and netperf point records can be selected."""
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({
+        "systems": [{"preset": "GM"}],
+        "experiments": [{"kind": "pingpong", "sizes_kb": [0]},
+                        {"kind": "netperf", "config": {"delay_iters": 1000}}],
+    }))
+    ledger = ["--ledger-dir", str(tmp_path / "ledger")]
+    assert main(["scenario", str(spec), *ledger]) == 0
+    capsys.readouterr()
+    for kind in ("pingpong", "netperf"):
+        assert main(["history", "--kind", kind, "--format", "json",
+                     *ledger]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["points_by_kind"] == {kind: 1}
+
+
 def test_closed_stdout_exits_1_without_traceback():
     """``comb compare | head -1``: a reader that hangs up early ends the
     command quietly with exit 1."""

@@ -7,7 +7,12 @@ give identical outputs — the property every figure regeneration relies on.
 
 import pytest
 
-from repro.baselines import run_netperf, run_pingpong
+from repro.baselines import (
+    NetperfConfig,
+    PingPongConfig,
+    run_netperf,
+    run_pingpong,
+)
 from repro.config import gm_system, portals_system
 from repro.core import PollingConfig, PwwConfig, run_polling, run_pww
 
@@ -34,13 +39,15 @@ class TestDeterminism:
         assert (a.post_s, a.work_s, a.wait_s) == (b.post_s, b.work_s, b.wait_s)
 
     def test_pingpong_repeatable(self, factory):
-        a = run_pingpong(factory(), 30 * KB, repeats=4, warmup_msgs=1)
-        b = run_pingpong(factory(), 30 * KB, repeats=4, warmup_msgs=1)
+        cfg = PingPongConfig(30 * KB, repeats=4, warmup_msgs=1)
+        a = run_pingpong(factory(), cfg)
+        b = run_pingpong(factory(), cfg)
         assert a.latency_s == b.latency_s
 
     def test_netperf_repeatable(self, factory):
-        a = run_netperf(factory(), msg_bytes=30 * KB, wait_mode="busywait")
-        b = run_netperf(factory(), msg_bytes=30 * KB, wait_mode="busywait")
+        cfg = NetperfConfig(msg_bytes=30 * KB, wait_mode="busywait")
+        a = run_netperf(factory(), cfg)
+        b = run_netperf(factory(), cfg)
         assert a.availability == b.availability
 
 

@@ -16,6 +16,13 @@ from pathlib import Path
 
 import pytest
 
+import repro
+from repro.baselines import (
+    NetperfConfig,
+    NetperfResult,
+    PingPongConfig,
+    PingPongResult,
+)
 from repro.cli import main
 from repro.config import gm_system, portals_system
 from repro.core import (
@@ -31,7 +38,7 @@ from repro.core import (
     run_task,
     task_key,
 )
-from repro.core.executor import code_salt
+from repro.core.executor import _METHODS, _SALT_SOURCES, code_salt
 from repro.obs import Observer, use_observer
 
 KB = 1024
@@ -100,6 +107,17 @@ class TestTaskKey:
     def test_code_salt_is_stable_in_process(self):
         assert code_salt() == code_salt()
 
+    @pytest.mark.parametrize("kind", sorted(_METHODS))
+    def test_method_code_is_under_the_salt(self, kind):
+        """Every config, runner and result type of a method kind is
+        defined in a module the code salt hashes, so an edit to any of
+        them invalidates the kind's cached points."""
+        root = Path(repro.__file__).resolve().parent
+        for obj in _METHODS[kind]:
+            module_file = Path(sys.modules[obj.__module__].__file__)
+            top = module_file.resolve().relative_to(root).parts[0]
+            assert top in _SALT_SOURCES, (kind, obj.__name__, obj.__module__)
+
 
 # ----------------------------------------------------------------- pool parity
 class TestPoolParity:
@@ -151,6 +169,21 @@ class TestPointCache:
         _pww(SweepExecutor(jobs=1, cache=PointCache(tmp_path)))
         warm = _pww(SweepExecutor(jobs=1, cache=PointCache(tmp_path)))
         assert plain.points == warm.points
+
+    def test_baseline_kinds_round_trip_bit_exact(self, tmp_path):
+        tasks = [
+            PointTask("pingpong", gm_system(),
+                      PingPongConfig(10 * KB, repeats=3, warmup_msgs=1)),
+            PointTask("netperf", portals_system(), NetperfConfig(
+                msg_bytes=10 * KB, wait_mode="busywait",
+                delay_iters=250_000)),
+        ]
+        cold = SweepExecutor(jobs=1, cache=PointCache(tmp_path)).run(tasks)
+        warm_ex = SweepExecutor(jobs=1, cache=PointCache(tmp_path))
+        warm = warm_ex.run(tasks)
+        assert (warm_ex.stats.hits, warm_ex.stats.misses) == (2, 0)
+        assert [type(p) for p in warm] == [PingPongResult, NetperfResult]
+        assert warm == cold
 
     def test_config_change_invalidates(self, tmp_path):
         ex = SweepExecutor(jobs=1, cache=PointCache(tmp_path))

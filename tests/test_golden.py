@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import run_pingpong
+from repro.baselines import PingPongConfig, run_pingpong
 from repro.config import gm_system, portals_system
 from repro.core import PollingConfig, PwwConfig, run_polling, run_pww
 from repro.core.accounting import drain_events
@@ -56,7 +56,8 @@ def compute_current() -> dict:
             "work_s": pw.work_s,
             "wait_s": pw.wait_s,
         }
-        pp = run_pingpong(factory(), 100 * KB, repeats=5, warmup_msgs=1)
+        pp = run_pingpong(factory(), PingPongConfig(100 * KB, repeats=5,
+                                                    warmup_msgs=1))
         out[f"{name}.pingpong.100KB"] = {"latency_s": pp.latency_s}
     # The canonical multi-rank pattern points (4-rank crossbar worlds).
     for name, factory, pattern in (("GM", gm_system, "halo2d"),

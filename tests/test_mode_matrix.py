@@ -30,6 +30,7 @@ import json
 import pytest
 
 from repro import compiled
+from repro.baselines import NetperfConfig, PingPongConfig
 from repro.config import gm_system, portals_system
 from repro.core import PointTask, PollingConfig, SweepExecutor
 from repro.obs import Observer, use_observer
@@ -57,9 +58,17 @@ FANIN_TASK = PointTask("polling", portals_system(),
 #: A polling point on 2-CPU nodes: a compute load runs on CPU 1.
 SMP_TASK = PointTask("polling", portals_system(cpus_per_node=2), POLL_CFG)
 
+#: A ping-pong point as the golden recording runs it.
+PINGPONG_TASK = PointTask("pingpong", gm_system(),
+                          PingPongConfig(100 * KB, repeats=5, warmup_msgs=1))
+
+#: A busy-waiting netperf point on a short delay loop (1 ms per phase).
+NETPERF_TASK = PointTask("netperf", portals_system(), NetperfConfig(
+    msg_bytes=50 * KB, wait_mode="busywait", delay_iters=250_000))
+
 #: The full golden matrix: every recorded sweep and pattern point, plus
-#: the fan-in and SMP polling points (last, so the recorded rows keep
-#: their ids).
+#: the fan-in and SMP polling points and the two baselines (last, so the
+#: recorded rows keep their ids).
 GOLDEN_TASKS = {
     "GM.polling": PointTask("polling", gm_system(), POLL_CFG),
     "GM.pww": PointTask("pww", gm_system(), PWW_CFG),
@@ -76,6 +85,8 @@ GOLDEN_TASKS = {
         dataclasses.replace(ALLREDUCE_CFG, **_FATTREE8)),
     "Portals.polling.3peers": FANIN_TASK,
     "Portals.polling.smp2": SMP_TASK,
+    "GM.pingpong": PINGPONG_TASK,
+    "Portals.netperf": NETPERF_TASK,
 }
 
 #: Routed rows -> their golden entry, which records the dispatched-event
@@ -199,6 +210,32 @@ def test_smp_point_pooled_equals_serial(matrix):
     index = list(GOLDEN_TASKS).index("Portals.polling.smp2")
     assert len(pooled[0]["availability_per_cpu"]) == 2
     assert pooled == [matrix["pure"][index], matrix["pure"][0]]
+
+
+def test_baseline_points_pooled_equal_serial(matrix):
+    """Ping-pong and netperf points come back from a spawn pool
+    bit-identical to the serial run."""
+    with SweepExecutor(jobs=2) as ex:
+        pooled = [p.to_dict() for p in ex.run([PINGPONG_TASK, NETPERF_TASK])]
+    names = list(GOLDEN_TASKS)
+    assert pooled == [matrix["pure"][names.index("GM.pingpong")],
+                      matrix["pure"][names.index("Portals.netperf")]]
+
+
+def test_pingpong_row_is_the_recorded_golden(matrix):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    row = matrix["pure"][list(GOLDEN_TASKS).index("GM.pingpong")]
+    assert row["latency_s"] == golden["GM.pingpong.100KB"]["latency_s"]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("point_id", ["GM.pingpong", "Portals.netperf"])
+def test_baseline_points_count_their_events(matrix_and_events, point_id,
+                                            mode):
+    """The baseline runners deposit their engine's event count, as the
+    COMB method runners do."""
+    events = matrix_and_events[1][mode]
+    assert events[list(GOLDEN_TASKS).index(point_id)] > 0
 
 
 # ------------------------------------------------------------- replicated row

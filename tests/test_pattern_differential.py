@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import run_pingpong
+from repro.baselines import PingPongConfig, run_pingpong
 from repro.hardware.topology import Crossbar
 
 KB = 1024
@@ -28,8 +28,9 @@ class TestPingpongDifferential:
         from repro.config import get_system
 
         system = get_system(preset)
-        default = run_pingpong(system, 100 * KB)
-        explicit = run_pingpong(system, 100 * KB, topology=Crossbar())
+        default = run_pingpong(system, PingPongConfig(100 * KB))
+        explicit = run_pingpong(system, PingPongConfig(100 * KB),
+                                topology=Crossbar())
         assert explicit == default
 
     @pytest.mark.parametrize("preset", ["GM", "Portals"])
@@ -37,8 +38,9 @@ class TestPingpongDifferential:
         from repro.config import get_system
 
         # repeats/warmup match the golden recording (see scripts/record).
-        pt = run_pingpong(get_system(preset), 100 * KB, repeats=5,
-                          warmup_msgs=1, topology=Crossbar())
+        pt = run_pingpong(get_system(preset),
+                          PingPongConfig(100 * KB, repeats=5, warmup_msgs=1),
+                          topology=Crossbar())
         assert pt.latency_s == GOLDEN[f"{preset}.pingpong.100KB"]["latency_s"]
 
 

@@ -16,10 +16,11 @@ import json
 
 import pytest
 
+from repro.baselines import PingPongConfig
 from repro.config import gm_system, portals_system
 from repro.core import PointTask, PollingConfig, SweepExecutor
 from repro.scenario import run_scenario
-from repro.stats import STOP_CI_WIDTH, STOP_FIXED
+from repro.stats import STOP_CI_WIDTH, STOP_FIXED, STOP_MAX_REPS
 
 from tests.test_verify_golden_drift import (
     ALLREDUCE_CFG,
@@ -131,6 +132,30 @@ def test_adaptive_stopping_on_deterministic_point():
                                       ci_width=0.01)[0]
     assert point.replication["reps"] == 3
     assert point.replication["stopping_reason"] == STOP_CI_WIDTH
+
+
+#: A short ping-pong point (no availability to stop on).
+PINGPONG_CFG = PingPongConfig(50 * KB, repeats=5, warmup_msgs=1)
+
+
+def test_adaptive_stopping_on_deterministic_pingpong():
+    """A ping-pong point stops on its latency: zero spread stops at 3."""
+    task = PointTask("pingpong", gm_system(), PINGPONG_CFG)
+    point = SweepExecutor(jobs=1).run([task], reps=8, ci_width=0.01)[0]
+    assert point.replication["reps"] == 3
+    assert point.replication["stopping_reason"] == STOP_CI_WIDTH
+
+
+def test_adaptive_stopping_judges_pingpong_latency_relative():
+    """Under loss the latency CI is well under 0.01 s wide but tens of
+    percent of the latency: judged relative to replicate 0, a 1%
+    tolerance keeps replicating to the cap."""
+    task = PointTask("pingpong", _stochastic_system(), PINGPONG_CFG)
+    point = SweepExecutor(jobs=1).run([task], reps=5, ci_width=0.01)[0]
+    latency = point.replication["metrics"]["latency_s"]
+    assert latency["ci_high"] - latency["ci_low"] < 0.01
+    assert point.replication["reps"] == 5
+    assert point.replication["stopping_reason"] == STOP_MAX_REPS
 
 
 def test_duplicate_tasks_share_replicates():
@@ -251,6 +276,33 @@ def test_scenario_replication_attaches_summaries():
     point = results["systems"][0]["experiments"][0]["points"][0]
     assert point["replication"]["reps"] == 3
     assert point["replication"]["disagreements"] == 0
+    assert "disagreements" not in results
+
+
+def test_scenario_replicates_baseline_points():
+    """``reps`` with ``ci_width`` reaches the ping-pong and netperf
+    experiments: deterministic points stop at 3 on a zero-width CI."""
+    spec = {
+        "name": "baselines",
+        "replication": {"reps": 5, "ci_width": 0.02},
+        "systems": [{"preset": "Portals"}],
+        "experiments": [
+            {"kind": "pingpong", "sizes_kb": [0, 10],
+             "config": {"repeats": 4, "warmup_msgs": 1}},
+            {"kind": "netperf", "msg_kb": 50,
+             "config": {"delay_iters": 250_000}},
+        ],
+    }
+    results = run_scenario(spec)
+    assert results["replication"] == {"reps": 5, "ci_width": 0.02}
+    pingpong, netperf = results["systems"][0]["experiments"]
+    for summary in [p["replication"] for p in pingpong["points"]] + [
+            netperf["replication"]]:
+        assert summary["reps"] == 3
+        assert summary["stopping_reason"] == STOP_CI_WIDTH
+        assert summary["disagreements"] == 0
+    assert "latency_s" in pingpong["points"][1]["replication"]["metrics"]
+    assert "availability" in netperf["replication"]["metrics"]
     assert "disagreements" not in results
 
 

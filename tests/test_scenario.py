@@ -212,6 +212,31 @@ class TestCliScenarioErrors:
         assert run["reps"] == 1
         assert run["cache"]["misses"] == 2
 
+    def test_baseline_points_reach_the_ledger(self, tmp_path):
+        """Ping-pong and netperf points run through the scenario's
+        executor, so the ledger records each one and counts its miss."""
+        from repro.obs.ledger import RunLedger, ledger_path, read_records
+
+        spec = {
+            "name": "baselines",
+            "systems": [{"preset": "GM"}],
+            "experiments": [
+                {"kind": "pingpong", "sizes_kb": [0, 10]},
+                {"kind": "netperf", "mode": "busywait"},
+            ],
+        }
+        ledger = RunLedger(tmp_path, "run1", "scenario")
+        run_scenario(spec, ledger=ledger)
+        ledger.close()
+        records, _ = read_records(ledger_path(tmp_path))
+        points = [r for r in records if r["rec"] == "point"]
+        assert [p["kind"] for p in points] == ["pingpong", "pingpong",
+                                               "netperf"]
+        assert all(p["outcome"] == "miss" for p in points)
+        (run,) = [r for r in records if r["rec"] == "run"]
+        assert run["points"] == 3
+        assert run["cache"]["misses"] == 3
+
     def test_offload_points_run_on_the_scenario_executor(self, tmp_path,
                                                          capsys):
         """The offload verdict's two PWW points go through the scenario's

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.baselines import run_pingpong
+from repro.baselines import PingPongConfig, run_pingpong
 from repro.config import gm_system, portals_system, tcp_system
 from repro.core import PollingConfig, PwwConfig, run_polling, run_pww
 from repro.mpi.world import build_world
@@ -84,7 +84,8 @@ class TestCleanRuns:
         # Benchmark drivers stop mid-flight: live checks only.
         san = Sanitizer()
         with use_sanitizer(san):
-            run_pingpong(SYSTEMS[name](), size, repeats=3, warmup_msgs=1)
+            run_pingpong(SYSTEMS[name](),
+                         PingPongConfig(size, repeats=3, warmup_msgs=1))
         assert san.finalize() == [], san.summary()
 
     @pytest.mark.parametrize("name", ["GM", "Portals"])
