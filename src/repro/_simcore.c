@@ -856,21 +856,6 @@ SimEngine_peek(SimEngine *self, PyObject *Py_UNUSED(ignored))
                                              : Py_HUGE_VAL);
 }
 
-static PyObject *
-SimEngine_fast_forward(SimEngine *self, PyObject *arg)
-{
-    double until_s = PyFloat_AsDouble(arg);
-    if (until_s == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (until_s <= self->now)
-        Py_RETURN_FALSE;
-    /* An event *at* until_s also forbids the jump (see engine.py). */
-    if (self->heap_len && self->heap[0].when <= until_s)
-        Py_RETURN_FALSE;
-    self->now = until_s;
-    Py_RETURN_TRUE;
-}
-
 /* Dispatch one popped event: callbacks, trace hook, failure propagation.
  * Mirrors the inlined loop body in engine.py run()/step().  Returns 0 on
  * success, -1 with an exception set. */
@@ -1159,8 +1144,6 @@ static PyMethodDef SimEngine_methods[] = {
      METH_FASTCALL | METH_KEYWORDS, NULL},
     {"peek", (PyCFunction)SimEngine_peek, METH_NOARGS,
      PyDoc_STR("Time of the next scheduled event, or INFINITY.")},
-    {"fast_forward", (PyCFunction)SimEngine_fast_forward, METH_O,
-     PyDoc_STR("Analytically advance the clock across a quiescent span.")},
     {"step", (PyCFunction)SimEngine_step, METH_NOARGS,
      PyDoc_STR("Process the single next event.")},
     {"run", (PyCFunction)(void (*)(void))SimEngine_run,

@@ -20,14 +20,13 @@ from .suite import (
     POLL_GRID,
 )
 from .sweep import log_intervals, polling_sweep, polling_tasks, pww_sweep, pww_tasks
-from .workloop import DRY_RUN_ITERS, dry_run_iter_time, work_time
+from .workloop import work_time
 
 __all__ = [
     "COMB_TAG",
     "CacheStats",
     "CombSuite",
     "DEFAULT_CACHE_DIR",
-    "DRY_RUN_ITERS",
     "OffloadVerdict",
     "PAPER_SIZES",
     "POLL_GRID",
@@ -41,7 +40,6 @@ __all__ = [
     "Series",
     "SweepExecutor",
     "current_executor",
-    "dry_run_iter_time",
     "log_intervals",
     "polling_sweep",
     "polling_tasks",

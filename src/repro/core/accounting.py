@@ -2,14 +2,14 @@
 
 The engine counts every heap event it dispatches
 (:attr:`repro.sim.engine.Engine.events_processed`) — the cost model of
-the simulator itself, and the number burst batching and quiescence
-fast-forward exist to shrink.  Each engine dies with its world, so the
-method runners deposit their final counts here.  The sweep executor's
-worker entry drains the tally after every point, in whichever process
-simulated it, and returns the count with the point; the parent sums
-them into the metrics registry (``sim.events_processed``), which the
-``comb trace`` metrics sidecar and perfbench's ``sim.events`` metric
-report.
+the simulator itself, and the number burst batching and the polling
+method's empty-cycle aggregation exist to shrink.  Each engine dies with
+its world, so the method runners deposit their final counts here.  The
+sweep executor's worker entry drains the tally after every point, in
+whichever process simulated it, and returns the count with the point;
+the parent sums them into the metrics registry (``sim.events_processed``),
+which the ``comb trace`` metrics sidecar and perfbench's ``sim.events``
+metric report.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The calibrated work loop and its dry-run measurement.
+"""The calibrated work loop.
 
 COMB's unit of "computation" is an iteration of an empty delay loop.  The
 *dry run* phase times the loop with no communication at all; that figure is
@@ -6,44 +6,14 @@ the numerator of the availability metric:
 
     availability = time(work without messaging)
                    / time(work plus MPI calls while messaging)
+
+The simulated CPU runs the loop at ``CpuConfig.work_iter_s`` per
+iteration, so the dry time is that constant times the iteration count.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
-
 from ..config import SystemConfig
-from ..hardware.cluster import Cluster
-from ..sim.engine import Engine
-from .quiescence import quiescent_compute
-
-#: Iterations used by the honest dry-run measurement.
-DRY_RUN_ITERS = 1_000_000
-
-
-def dry_run_iter_time(system: SystemConfig) -> float:
-    """Measure seconds per work-loop iteration on an otherwise idle node.
-
-    This *runs* the loop through the simulated CPU rather than reading the
-    configured constant, so scheduler or SMP effects (if any are configured)
-    are captured — mirroring COMB's real dry-run phase.
-    """
-    engine = Engine()
-    cluster = Cluster(engine, system, n_nodes=2)
-    ctx = cluster[0].new_context("dryrun")
-    iter_s = system.machine.cpu.work_iter_s
-    result: Dict[str, float] = {}
-
-    def loop() -> Iterator[object]:
-        t0 = engine.now
-        # The dry run is quiescence by construction — an idle node, one
-        # context, nothing in flight — so the clock jumps the whole loop.
-        yield from quiescent_compute(ctx.cpu, ctx, DRY_RUN_ITERS * iter_s)
-        result["elapsed"] = engine.now - t0
-
-    proc = engine.spawn(loop(), name="dryrun")
-    engine.run(proc)
-    return result["elapsed"] / DRY_RUN_ITERS
 
 
 def work_time(system: SystemConfig, iters: float) -> float:

@@ -295,21 +295,6 @@ class _OrderAnalysis(Analysis):
         elif isinstance(item, ast.expr):
             self._eval(item, env, report)
 
-    def _is_unordered(self, node: ast.expr, env: Env) -> bool:
-        """Syntactic check without recursing into sub-calls."""
-        if isinstance(node, ast.Name):
-            return env.get(node.id) == _UNORDERED
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(
-            node.func, ast.Attribute
-        ):
-            if node.func.attr in _DICT_VIEW_METHODS:
-                # A dict view is insertion-ordered, but participating in
-                # set algebra produces a real set (handled by BinOp).
-                return False
-        return False
-
     def _eval(
         self, node: ast.expr, env: Env, report: Optional[Report]
     ) -> bool:

@@ -90,15 +90,14 @@ class HotPathIoRule(FileRule):
                 )
 
 
-#: Modules implementing burst replay / quiescence fast-forward, where
-#: every timestamp must reproduce the legacy per-event float arithmetic
-#: bit for bit (see the commit-chain comments in ``hardware/nic.py``).
+#: Modules implementing burst replay, where every timestamp must
+#: reproduce the legacy per-event float arithmetic bit for bit (see the
+#: commit-chain comments in ``hardware/nic.py``).
 BURST_REPLAY_MODULES: FrozenSet[str] = frozenset(
     {
         "hardware/nic.py",
         "sim/resources.py",
         "sim/engine.py",
-        "core/quiescence.py",
     }
 )
 
@@ -107,7 +106,7 @@ BURST_REPLAY_MODULES: FrozenSet[str] = frozenset(
 class BurstAccumulationRule(FileRule):
     """SIM002: float time accumulation off-contract in burst-replay loops.
 
-    The burst/fast-forward paths guarantee bit-identity with the legacy
+    The burst-replay paths guarantee bit-identity with the legacy
     per-packet event chain by reproducing its arithmetic exactly — the
     engine's delay-based scheduling observes fire times, so each step is
     the round-trip ``x = x + (y - x)``, never a running ``x += dt``.  A
@@ -120,7 +119,7 @@ class BurstAccumulationRule(FileRule):
 
     rule_id = "SIM002"
     summary = (
-        "running float accumulation in a burst-replay/fast-forward loop "
+        "running float accumulation in a burst-replay loop "
         "instead of the per-fragment round-trip form x = x + (y - x)"
     )
 

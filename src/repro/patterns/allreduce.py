@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..core.quiescence import quiescent_compute
 from ..mpi.collectives import (
     allreduce,
     allreduce_msgs,
@@ -43,7 +42,7 @@ class AllreducePlan:
         """One work → allreduce cycle; returns phase durations."""
         engine = cpu.engine
         t0 = engine.now
-        yield from quiescent_compute(cpu, ctx, work_dry_s)
+        yield ctx.compute(work_dry_s)
         t2 = engine.now
         yield from self.collective(h, self.nbytes)
         t3 = engine.now

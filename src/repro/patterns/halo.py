@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
-from ..core.quiescence import quiescent_compute
 from ..mpi.request import Request
 from .config import PATTERN_TAG, PatternConfig, balanced_grid, grid_neighbors
 
@@ -44,7 +43,7 @@ class HaloPlan:
             s = yield from h.isend(peer, self.nbytes, tag=PATTERN_TAG)
             reqs.append(s)
         t1 = engine.now
-        yield from quiescent_compute(cpu, ctx, work_dry_s)
+        yield ctx.compute(work_dry_s)
         t2 = engine.now
         yield from h.waitall(reqs)
         t3 = engine.now

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from ..core.quiescence import quiescent_compute
 from ..mpi.request import Request
 from .config import (
     PATTERN_TAG,
@@ -62,7 +61,7 @@ class SweepPlan:
         t1 = engine.now
         if rreqs:
             yield from h.waitall(rreqs)
-        yield from quiescent_compute(cpu, ctx, work_dry_s)
+        yield ctx.compute(work_dry_s)
         t2 = engine.now
         sreqs: List[Request] = []
         for peer in self.downstream:

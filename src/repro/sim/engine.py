@@ -112,27 +112,6 @@ class Engine:
         """Time of the next scheduled event, or ``INFINITY`` if none."""
         return self._queue[0][0] if self._queue else INFINITY
 
-    def fast_forward(self, until_s: float) -> bool:
-        """Analytically advance the clock across a quiescent span.
-
-        When the caller knows nothing can change state before ``until_s``
-        (it is the only runnable activity and is idle), and no heap event
-        precedes ``until_s``, the clock jumps straight there — no events
-        are dispatched, no bookkeeping grinds.  Returns ``True`` if the
-        clock moved, ``False`` if a pending event forbids the jump (the
-        caller must then wait through the event loop as usual).
-        """
-        if until_s <= self._now:
-            return False
-        if self._queue and self._queue[0][0] <= until_s:
-            # An event *at* ``until_s`` also forbids the jump: whether it
-            # would fire before or after the caller's continuation depends
-            # on heap sequence numbers the caller cannot know, so the safe
-            # answer is to make it wait through the event loop.
-            return False
-        self._now = until_s
-        return True
-
     def step(self) -> None:
         """Process the single next event.
 

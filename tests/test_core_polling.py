@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.polling import PollingConfig, run_polling
-from repro.core.workloop import dry_run_iter_time, work_time
+from repro.core.workloop import work_time
 
 KB = 1024
 
@@ -117,10 +117,6 @@ class TestDeterminism:
 
 
 class TestWorkloop:
-    def test_dry_run_matches_config(self, gm):
-        measured = dry_run_iter_time(gm)
-        assert measured == pytest.approx(gm.machine.cpu.work_iter_s)
-
     def test_work_time_linear(self, gm):
         assert work_time(gm, 1_000_000) == pytest.approx(
             1_000_000 * gm.machine.cpu.work_iter_s

@@ -5,7 +5,7 @@ scattered across the suite (bare-vs-checked in the golden-drift module,
 traced-vs-bare for patterns, …).  Every golden point runs under every
 execution mode and the result dicts are byte-compared pairwise:
 
-* **pure** — the unchecked fast paths (burst pump, quiescence);
+* **pure** — the unchecked fast path (the burst pump);
 * **checked** — sanitizer attached, NICs forced onto the legacy
   per-packet path (also asserts zero violations);
 * **traced** — an ambient :class:`Observer` tracing every world, which
@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import compiled
 from repro.baselines import NetperfConfig, PingPongConfig
 from repro.config import gm_system, portals_system
-from repro.core import PointTask, PollingConfig, SweepExecutor
+from repro.core import PointTask, PollingConfig, PwwConfig, SweepExecutor
 from repro.obs import Observer, use_observer
+from repro.patterns import PatternConfig
 
 from repro.obs.lifecycle import Subscriber
 
@@ -66,9 +68,15 @@ PINGPONG_TASK = PointTask("pingpong", gm_system(),
 NETPERF_TASK = PointTask("netperf", portals_system(), NetperfConfig(
     msg_bytes=50 * KB, wait_mode="busywait", delay_iters=250_000))
 
+#: A GM PWW point whose work interval (2,000,000 iterations) is long
+#: against its message time, so most of each batch is plain compute.
+LONG_WORK_PWW_TASK = PointTask("pww", gm_system(), PwwConfig(
+    msg_bytes=64 * KB, work_interval_iters=2_000_000, batches=4,
+    warmup_batches=1))
+
 #: The full golden matrix: every recorded sweep and pattern point, plus
-#: the fan-in and SMP polling points and the two baselines (last, so the
-#: recorded rows keep their ids).
+#: the fan-in and SMP polling points, the two baselines and the long-work
+#: PWW point (appended in that order, so the recorded rows keep their ids).
 GOLDEN_TASKS = {
     "GM.polling": PointTask("polling", gm_system(), POLL_CFG),
     "GM.pww": PointTask("pww", gm_system(), PWW_CFG),
@@ -87,6 +95,7 @@ GOLDEN_TASKS = {
     "Portals.polling.smp2": SMP_TASK,
     "GM.pingpong": PINGPONG_TASK,
     "Portals.netperf": NETPERF_TASK,
+    "GM.pww.longwork": LONG_WORK_PWW_TASK,
 }
 
 #: Routed rows -> their golden entry, which records the dispatched-event
@@ -236,6 +245,29 @@ def test_baseline_points_count_their_events(matrix_and_events, point_id,
     COMB method runners do."""
     events = matrix_and_events[1][mode]
     assert events[list(GOLDEN_TASKS).index(point_id)] > 0
+
+
+#: ``to_dict()`` of the points on which the deleted quiescence clock jump
+#: used to fire, recorded while it was live (GM sweep, 16 ranks on the
+#: fat-tree; GM interleaved PWW).
+QUIESCENCE_RECORDED = json.loads(
+    (Path(__file__).parent / "data" / "quiescence_parity.json").read_text())
+
+QUIESCENCE_TASKS = {
+    "GM.sweep.16r.fattree": PointTask("pattern", gm_system(), PatternConfig(
+        pattern="sweep", ranks=16, topology="fattree")),
+    "GM.pww.50KB.interleave3": PointTask("pww", gm_system(), PwwConfig(
+        msg_bytes=50 * KB, work_interval_iters=50_000, batches=5,
+        warmup_batches=1, interleave=3)),
+}
+
+
+@pytest.mark.parametrize("point_id", sorted(QUIESCENCE_TASKS))
+def test_matches_recorded_quiescence_points(point_id):
+    """Plain compute reproduces, bit for bit, the points the clock jump
+    used to shortcut."""
+    point = SweepExecutor(jobs=1).run_one(QUIESCENCE_TASKS[point_id])
+    assert point.to_dict() == QUIESCENCE_RECORDED[point_id]
 
 
 # ------------------------------------------------------------- replicated row

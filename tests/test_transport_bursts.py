@@ -223,8 +223,9 @@ class TestEventCounts:
 
     def test_large_message_point_improves_portals(self):
         """Portals' kernel transport tracks every fragment for go-back-N
-        reliability, so DATA jobs cannot burst — but the quiescence
-        fast-forward still has to cut the event count strictly."""
+        reliability, so DATA jobs cannot burst — but merged emission on
+        the exclusive two-node route still has to cut the event count
+        strictly."""
         cfg = PollingConfig(msg_bytes=500 * KB, poll_interval_iters=100_000,
                             measure_s=0.02, warmup_s=0.004)
         bare, n_bare = self._count(run_polling, portals_system(), cfg,

@@ -3,7 +3,7 @@
 ``tests/golden_values.json`` was recorded on the pure-Python engine with
 no sanitizer attached.  Four modes must reproduce it exactly:
 
-* **pure bare** — the fast paths (burst pump, quiescence) live;
+* **pure bare** — the fast path (the burst pump) live;
 * **pure checked** — the sanitizer attached, which also forces the NICs
   onto the legacy per-packet path: equality proves both that the
   sanitizer is observation-only *and* that the fast paths are bit-exact;
