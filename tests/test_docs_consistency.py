@@ -56,12 +56,6 @@ class TestReadme:
 
 
 class TestDesign:
-    def test_every_figure_has_bench_target(self):
-        text = _read("DESIGN.md")
-        for match in re.finditer(r"`(bench_fig\w*\.py)`", text):
-            assert (ROOT / "benchmarks" / match.group(1)).exists(), \
-                match.group(0)
-
     def test_inventory_packages_exist(self):
         text = _read("DESIGN.md")
         for match in re.finditer(r"`repro\.(\w+)`", text):
@@ -77,12 +71,6 @@ class TestDesign:
 
 
 class TestExperiments:
-    def test_bench_references_exist(self):
-        text = _read("EXPERIMENTS.md")
-        for match in re.finditer(r"`(bench_\w+\.py)`", text):
-            assert (ROOT / "benchmarks" / match.group(1)).exists(), \
-                match.group(0)
-
     def test_example_references_exist(self):
         text = _read("EXPERIMENTS.md")
         for match in re.finditer(r"`examples/([\w.]+\.py)`", text):
@@ -102,21 +90,21 @@ class TestExperiments:
         assert gm.machine.nic.host_dma_bandwidth_Bps == pytest.approx(91e6)
 
 
-class TestBenchCoverage:
-    def test_one_bench_per_results_figure(self):
-        from repro.analysis import ALL_FIGURES
+class TestMechanismCitations:
+    def test_cited_mechanism_tests_exist(self):
+        """Every ``test_mechanisms.py::<name>`` that DESIGN.md or
+        EXPERIMENTS.md cites is a test function in that file."""
+        import ast
 
-        # bench_figures.py parametrizes one target per ALL_FIGURES entry.
-        driver = (ROOT / "benchmarks" / "bench_figures.py").read_text()
-        assert "sorted(ALL_FIGURES)" in driver
-        for i in range(4, 18):
-            assert f"fig{i:02d}" in ALL_FIGURES, \
-                f"no bench target for figure {i}"
-
-    def test_every_ablation_in_design_exists(self):
-        ablations = {p.name
-                     for p in (ROOT / "benchmarks").glob("bench_ablation*.py")}
-        assert len(ablations) >= 5
+        tree = ast.parse((ROOT / "tests" / "test_mechanisms.py").read_text())
+        defined = {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name.startswith("test_")}
+        cited = set()
+        for doc in ("DESIGN.md", "EXPERIMENTS.md"):
+            cited.update(re.findall(r"test_mechanisms\.py::(\w+)", _read(doc)))
+        assert cited, "the docs cite no mechanism test"
+        assert cited <= defined, sorted(cited - defined)
 
 
 class TestApiReference:

@@ -101,8 +101,8 @@ class TestProgressRuleStory:
 
 
 class TestFigureClaimsQuick:
-    """Claim checkers against coarse regenerated figures (the full set runs
-    in benchmarks/)."""
+    """Claim checkers against coarse regenerated figures (``comb figures
+    --per-decade 1`` checks the full set and exits 1 on a failed claim)."""
 
     @pytest.mark.parametrize("fig_id", ["fig09", "fig10", "fig12"])
     def test_claims_hold(self, fig_id):
