@@ -13,7 +13,7 @@ from ..config import NicConfig
 from ..sim.engine import Engine
 from ..sim.events import post
 from ..sim.resources import Pipe
-from ..transport.packets import Packet, PacketKind
+from ..transport.packets import KIND_TEXT, Packet, PacketKind
 
 
 class Link:
@@ -76,7 +76,7 @@ class Link:
         trace = self.engine.trace
         if trace is not None:
             trace.record(self.engine.now, self.name, "wire_tx",
-                         (packet.kind.value, packet.msg_id, packet.index))
+                         (KIND_TEXT[packet.kind], packet.msg_id, packet.index))
         ev.callbacks.append(self._on_delivered)
 
     def send_after(self, delay_s: float, packet: Packet) -> None:
@@ -100,11 +100,12 @@ class Link:
             self.packets_dropped += 1
             if trace is not None:
                 trace.record(self.engine.now, self.name, "wire_drop",
-                             (packet.kind.value, packet.msg_id, packet.index))
+                             (KIND_TEXT[packet.kind], packet.msg_id,
+                              packet.index))
             return
         if trace is not None:
             trace.record(self.engine.now, self.name, "wire_rx",
-                         (packet.kind.value, packet.msg_id, packet.index))
+                         (KIND_TEXT[packet.kind], packet.msg_id, packet.index))
         self.deliver(packet)
 
     @property

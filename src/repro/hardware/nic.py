@@ -27,7 +27,7 @@ from ..config import NicConfig
 from ..sim.engine import Engine
 from ..sim.events import PRIORITY_URGENT, Event, post
 from ..sim.resources import Pipe
-from ..transport.packets import Packet, PacketKind
+from ..transport.packets import KIND_TEXT, Packet, PacketKind
 
 #: Maximum packets buffered on the NIC between host DMA and the wire.
 NIC_TX_BUFFER_PKTS = 8
@@ -220,7 +220,7 @@ class NIC:
         trace = self.engine.trace
         if trace is not None:
             trace.record(self.engine.now, self.name, "packet_tx",
-                         (pkt.kind.value, pkt.msg_id, pkt.index))
+                         (KIND_TEXT[pkt.kind], pkt.msg_id, pkt.index))
         post(self.engine, pkt, self._emit_cb, self.config.nic_processing_s)
         # The grant is itself the fresh event the next step needs.
         if i + 1 < len(job.packets):
@@ -296,7 +296,7 @@ class NIC:
             # One record per *delivery attempt*: the conservation monitor
             # counts these to catch duplicated packets.
             trace.record(self.engine.now, self.name, "nic_rx",
-                         (packet.kind.value, packet.msg_id, packet.index))
+                         (KIND_TEXT[packet.kind], packet.msg_id, packet.index))
         if packet.kind is PacketKind.DATA:
             ev = self.host_bus.transfer(
                 packet.wire_bytes(self.config.header_bytes), packet

@@ -15,6 +15,13 @@ the sweep for telemetry.  An emission into a full queue waits at most
 :data:`LIFECYCLE_PUT_TIMEOUT_S`, then is *dropped and counted* per
 event kind, and the hub's final ``run_end`` states those counts.
 
+The hub drains in batches, not per event: it sleeps on the channel's
+:attr:`~TelemetryChannel.wake` signal for at most
+:data:`DRAIN_PERIOD_S`, then takes everything queued.  The producer
+sets the signal only once half the queue is backlogged (and the hub's
+``close`` sets it), so a burst of cache hits costs no thread hand-off
+per event; a line reaches its consumers at most one period late.
+
 Telemetry is observation-only and strictly detachable: the executor
 reaches the channel through one lifecycle subscriber
 (:class:`~repro.obs.lifecycle.TelemetryFeed`), and simulated results are
@@ -32,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import queue as queue_mod
+import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -49,6 +57,10 @@ DEFAULT_QUEUE_CAPACITY = 1024
 #: Longest an emission may block on a saturated queue before being
 #: dropped.
 LIFECYCLE_PUT_TIMEOUT_S = 0.1
+
+#: Longest the hub sleeps between batches when nothing wakes it: the
+#: most a queued event waits before its consumers see it.
+DRAIN_PERIOD_S = 0.2
 
 #: Fields every stream event carries.
 COMMON_FIELDS: Tuple[str, ...] = ("v", "kind", "t_wall_s", "pid")
@@ -149,6 +161,10 @@ class TelemetryChannel:
         self.capacity = capacity
         #: Events dropped on a full queue, per event kind.
         self.dropped: Dict[str, int] = {}
+        #: Set when the queue is half full (or the hub closes): the hub
+        #: drains now instead of at the end of its period.
+        self.wake = threading.Event()
+        self._wake_backlog = max(capacity // 2, 1)
 
     def emit(self, kind: str, **fields: Any) -> bool:
         """Enqueue one event; ``True`` when enqueued, ``False`` (and
@@ -156,10 +172,13 @@ class TelemetryChannel:
         try:
             self.queue.put(make_event(kind, **fields),
                            timeout=LIFECYCLE_PUT_TIMEOUT_S)
-            return True
         except queue_mod.Full:
             self.dropped[kind] = self.dropped.get(kind, 0) + 1
             return False
+        if self.queue.qsize() >= self._wake_backlog \
+                and not self.wake.is_set():
+            self.wake.set()
+        return True
 
     def drain(self, timeout_s: float = 0.2) -> Optional[Dict[str, Any]]:
         """Next pending event, or ``None`` after ``timeout_s``."""
@@ -168,9 +187,20 @@ class TelemetryChannel:
         except queue_mod.Empty:
             return None
 
+    def drain_batch(self) -> List[Dict[str, Any]]:
+        """Every event queued now, in emission order (never blocks)."""
+        batch: List[Dict[str, Any]] = []
+        get = self.queue.get_nowait
+        try:
+            while True:
+                batch.append(get())
+        except queue_mod.Empty:
+            return batch
+
 
 __all__ = [
     "DEFAULT_QUEUE_CAPACITY",
+    "DRAIN_PERIOD_S",
     "LIFECYCLE_PUT_TIMEOUT_S",
     "STREAM_EVENT_FIELDS",
     "TELEMETRY_SCHEMA_VERSION",

@@ -3,8 +3,11 @@
 :class:`TelemetryHub` drains a :class:`~repro.obs.live.TelemetryChannel`
 on a background thread, folds every event into a :class:`SweepState`,
 and fans events out to consumers (plain callables taking one event
-dict).  On top of the executor's events it synthesizes three kinds of
-its own — ``stall`` (a running point exceeding
+dict).  It works in batches: each wake-up handles every queued event in
+order, then checks stalls and progress once and calls each consumer's
+optional ``flush()`` once, so a burst of events costs one write-out,
+not one per line.  On top of the executor's events it synthesizes three
+kinds of its own — ``stall`` (a running point exceeding
 :data:`DEFAULT_STALL_FACTOR` × its predicted cost on the parent's wall
 clock), ``progress`` (periodic counters + ETA from the cache-aware
 :class:`CostModel`), and ``run_end`` — which are delivered to consumers
@@ -28,9 +31,16 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, IO, List, Optional
 
-from .live import TelemetryChannel, make_event, validate_stream_event
+from .live import (
+    DRAIN_PERIOD_S,
+    TelemetryChannel,
+    make_event,
+    validate_stream_event,
+)
 
-#: A consumer is any callable taking one stream-event dict.
+#: A consumer is any callable taking one stream-event dict.  One that
+#: buffers (a file, a terminal line) also has a ``flush()``, which the
+#: hub calls once per batch and once more at ``run_end``.
 Consumer = Callable[[Dict[str, Any]], None]
 
 #: A point is a stall suspect once its elapsed wall exceeds
@@ -177,8 +187,8 @@ class TelemetryHub:
     The hub is the only component allowed to *synthesize* events
     (``stall`` / ``progress`` / ``run_end``); everything else it merely
     relays.  A consumer that raises ``OSError`` (e.g. a stream target
-    going unwritable mid-run) is detached and remembered — telemetry
-    failure must never fail the sweep.
+    going unwritable mid-run), on an event or on ``flush``, is detached
+    and remembered — telemetry failure must never fail the sweep.
     """
 
     def __init__(
@@ -217,12 +227,13 @@ class TelemetryHub:
 
     def close(self) -> None:
         """Stop draining, handle what is still queued, emit the final
-        ``run_end``."""
+        ``run_end`` and flush every consumer."""
         self._stop.set()
+        self.channel.wake.set()
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        while (doc := self.channel.drain(0.0)) is not None:
+        for doc in self.channel.drain_batch():
             self._handle(doc)
         self._check_stalls()
         with self._lock:
@@ -235,12 +246,17 @@ class TelemetryHub:
                 stalls=state.stall_count,
                 dropped=dict(sorted(self.channel.dropped.items())),
             ))
+        self._flush()
 
     # ----------------------------------------------------------- internals
     def _loop(self) -> None:
+        wake = self.channel.wake
         while not self._stop.is_set():
-            doc = self.channel.drain(timeout_s=0.2)
-            if doc is not None:
+            wake.wait(DRAIN_PERIOD_S)
+            # Clear before draining: an emission that lands after the
+            # drain re-arms the signal instead of being lost.
+            wake.clear()
+            for doc in self.channel.drain_batch():
                 self._handle(doc)
             now_wall_s = self._clock()
             self._check_stalls()
@@ -248,6 +264,7 @@ class TelemetryHub:
                     >= self.progress_period_s:
                 self._last_progress_wall_s = now_wall_s
                 self._emit_progress()
+            self._flush()
 
     def _handle(self, doc: Dict[str, Any]) -> None:
         with self._lock:
@@ -265,10 +282,23 @@ class TelemetryHub:
             try:
                 consumer(doc)
             except OSError as exc:
-                self.consumers.remove(consumer)
-                self.consumer_errors.append(
-                    f"{type(consumer).__name__}: {exc}"
-                )
+                self._detach(consumer, exc)
+
+    def _flush(self) -> None:
+        """End of a batch: let every buffering consumer write out."""
+        with self._lock:
+            for consumer in list(self.consumers):
+                flush = getattr(consumer, "flush", None)
+                if flush is None:
+                    continue
+                try:
+                    flush()
+                except OSError as exc:
+                    self._detach(consumer, exc)
+
+    def _detach(self, consumer: Consumer, exc: OSError) -> None:
+        self.consumers.remove(consumer)
+        self.consumer_errors.append(f"{type(consumer).__name__}: {exc}")
 
     def _emit_progress(self) -> None:
         with self._lock:
@@ -308,8 +338,9 @@ class StreamWriter:
     ``target`` is a filesystem path or a decimal fd number (``"2"``,
     ``"7"``) — the same convention the trace/metrics flags use.  Opening
     errors propagate as ``OSError`` so the CLI can render its one-line
-    message; mid-run write errors also raise ``OSError``, which the hub
-    turns into a detach.
+    message; mid-run write and flush errors also raise ``OSError``,
+    which the hub turns into a detach.  Lines are buffered until
+    :meth:`flush` (once per hub batch) or :meth:`close`.
     """
 
     def __init__(self, target: str) -> None:
@@ -326,6 +357,8 @@ class StreamWriter:
 
     def __call__(self, doc: Dict[str, Any]) -> None:
         self._fh.write(json.dumps(doc, sort_keys=True) + "\n")
+
+    def flush(self) -> None:
         self._fh.flush()
 
     def close(self) -> None:
@@ -336,19 +369,24 @@ class StreamWriter:
 
 
 class ProgressRenderer:
-    """Single-line TTY progress plus a final stall/drop report."""
+    """Single-line TTY progress plus a final stall/drop report.
+
+    The progress line is redrawn at :meth:`flush` (once per hub batch),
+    not per event; stall and final reports are written as they come.
+    """
 
     def __init__(self, out: Optional[IO[str]] = None) -> None:
         self._out = out if out is not None else sys.stderr
         self._state = SweepState()
         self._line_open = False
+        self._dirty = False
 
     def __call__(self, doc: Dict[str, Any]) -> None:
         self._state.apply(doc)
         kind = doc.get("kind")
         if kind in ("progress", "point_end", "point_cached", "batch",
                     "figure_start"):
-            self._render_line()
+            self._dirty = True
         elif kind == "stall":
             self._end_line()
             key = str(doc.get("key"))[:12]
@@ -358,8 +396,14 @@ class ProgressRenderer:
                 f"({doc.get('factor', 0.0):.1f}x predicted)\n"
             )
         elif kind == "run_end":
+            self._dirty = False
             self._end_line()
             self._render_final(doc)
+
+    def flush(self) -> None:
+        if self._dirty:
+            self._dirty = False
+            self._render_line()
         self._out.flush()
 
     def _render_line(self) -> None:

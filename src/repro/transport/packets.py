@@ -20,6 +20,17 @@ class PacketKind(Enum):
     CTS = "cts"            # rendezvous clear-to-send (carries buffer handle)
     ACK = "ack"            # reliability acknowledgment (kernel transports)
 
+    # Members are singletons that compare by identity, so identity
+    # hashing agrees with equality; it keeps :data:`KIND_TEXT` lookups
+    # in C instead of ``Enum.__hash__``, a Python-level call.
+    __hash__ = object.__hash__
+
+
+#: Each kind's text as trace records carry it.  The per-packet emit
+#: sites read this table: ``Enum.value`` is a Python-level descriptor,
+#: paid once per traced packet event.
+KIND_TEXT: Dict[PacketKind, str] = {kind: kind.value for kind in PacketKind}
+
 
 _msg_ids = itertools.count(1)
 

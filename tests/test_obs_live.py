@@ -14,6 +14,7 @@ import io
 import json
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -284,6 +285,105 @@ class TestHubClose:
         assert seen[-1]["kind"] == "run_end"
         assert seen[-1]["dropped"] == {"point_cached": 2}
         assert hub.state.dropped == {"point_cached": 2}
+
+
+class _CountingConsumer:
+    """Records every event and counts the hub's ``flush`` calls."""
+
+    def __init__(self):
+        self.seen = []
+        self.flushes = 0
+
+    def __call__(self, doc):
+        self.seen.append(doc)
+
+    def flush(self):
+        self.flushes += 1
+
+
+class TestHubBatching:
+    """The hub drains, checks and writes out once per batch, not once
+    per event; nothing is lost or reordered on the way."""
+
+    @staticmethod
+    def _emit_burst(channel, n):
+        for i in range(n):
+            assert channel.emit("point_cached", key=f"k{i}",
+                                method="polling", system="GM",
+                                outcome="hit")
+
+    def test_burst_is_flushed_per_batch_in_emission_order(self):
+        consumer = _CountingConsumer()
+        channel = TelemetryChannel()
+        hub = TelemetryHub(channel, consumers=[consumer])
+        hub.start("r1", "test", jobs=1)
+        self._emit_burst(channel, 2_000)
+        hub.close()
+        keys = [e["key"] for e in consumer.seen
+                if e["kind"] == "point_cached"]
+        assert keys == [f"k{i}" for i in range(2_000)]
+        assert 1 <= consumer.flushes < 100
+        assert consumer.seen[-1]["kind"] == "run_end"
+        assert consumer.seen[-1]["dropped"] == {}
+
+    def test_event_reaches_the_stream_file_before_close(self, tmp_path):
+        """``comb top`` tails the file while the run goes on: a line
+        lands within one drain period, not only at close."""
+        stream = tmp_path / "s.ndjson"
+        writer = StreamWriter(str(stream))
+        channel = TelemetryChannel()
+        hub = TelemetryHub(channel, consumers=[writer])
+        hub.start("r1", "test", jobs=1)
+        try:
+            self._emit_burst(channel, 1)
+            deadline = time.monotonic() + 1.0
+            while '"point_cached"' not in stream.read_text():
+                assert time.monotonic() < deadline, "no line within 1 s"
+                time.sleep(0.01)
+        finally:
+            hub.close()
+            writer.close()
+
+    def test_close_delivers_and_flushes_a_burst(self, tmp_path):
+        stream = tmp_path / "s.ndjson"
+        writer = StreamWriter(str(stream))
+        channel = TelemetryChannel()
+        hub = TelemetryHub(channel, consumers=[writer])
+        hub.start("r1", "test", jobs=1)
+        self._emit_burst(channel, 700)
+        hub.close()
+        try:
+            # Read before the writer closes: close itself wrote out.
+            docs = [json.loads(line)
+                    for line in stream.read_text().splitlines()]
+        finally:
+            writer.close()
+        assert [d["key"] for d in docs if d["kind"] == "point_cached"] \
+            == [f"k{i}" for i in range(700)]
+        assert docs[-1]["kind"] == "run_end"
+        assert docs[-1]["dropped"] == {}
+
+    def test_stream_writer_buffers_lines_until_flush(self, tmp_path):
+        stream = tmp_path / "s.ndjson"
+        writer = StreamWriter(str(stream))
+        for i in range(3):
+            writer(make_event("figure_start", figure=f"fig0{i}"))
+        assert stream.read_text() == ""
+        writer.flush()
+        assert len(stream.read_text().splitlines()) == 3
+        writer.close()
+
+    def test_progress_renderer_redraws_once_per_flush(self):
+        out = io.StringIO()
+        renderer = ProgressRenderer(out=out)
+        for i in range(5):
+            renderer(make_event("point_cached", key=f"k{i}",
+                                method="polling", system="GM",
+                                outcome="hit"))
+        assert out.getvalue() == ""
+        renderer.flush()
+        assert out.getvalue().count("\r\x1b[2K") == 1
+        assert "5 cached" in out.getvalue()
 
 
 # ------------------------------------------------------ stream writer / top
