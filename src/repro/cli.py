@@ -98,6 +98,7 @@ from .core import (
     SweepExecutor,
 )
 from .core.executor import _METHODS, DEFAULT_CACHE_DIR, PointTask
+from .hardware.topology import TopologyError, make_topology
 from .patterns import PATTERN_KINDS, PatternConfig
 
 #: ``comb pattern`` / ``comb trace`` accept ``halo`` for halo2d.
@@ -142,17 +143,18 @@ def _rank_count(text: str) -> int:
     return _int_at_least(text, 2)  # a pattern needs two ranks
 
 
-def _size_kb(text: str) -> float:
+def _non_negative_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(
-            f"must be a finite, non-negative number of KB, got {text}")
+            f"must be a finite number >= 0, got {text}")
     return value
 
 
 def _add_size(parser: argparse.ArgumentParser,
               help: str = "message size (KB)") -> None:
-    parser.add_argument("--size", type=_size_kb, default=100, help=help)
+    parser.add_argument("--size", type=_non_negative_float, default=100,
+                        help=help)
 
 
 def _positive_seconds(text: str) -> float:
@@ -184,7 +186,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         "render CI bands",
     )
     parser.add_argument(
-        "--ci-width", type=float, default=None, metavar="W",
+        "--ci-width", type=_non_negative_float, default=None, metavar="W",
         help="adaptive stopping: stop replicating a point once its "
         "availability bootstrap CI is at most this wide (cap: --reps); "
         "default: fixed --reps design",
@@ -389,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_size(p)
     p.add_argument("--interval", type=_non_negative_int, default=100_000,
                    help="work interval (loop iterations)")
-    p.add_argument("--tests-in-work", type=int, default=0,
+    p.add_argument("--tests-in-work", type=_non_negative_int, default=0,
                    help="MPI_Test calls inserted early in the work phase")
     _add_check_flag(p)
 
@@ -413,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default="crossbar",
                    choices=("crossbar", "fattree"),
                    help="network fabric (default: crossbar)")
-    p.add_argument("--arity", type=int, default=0,
+    p.add_argument("--arity", type=_non_negative_int, default=0,
                    help="fat-tree arity k (0: the switch's port count)")
     p.add_argument("--ghost-width", type=_positive_int, default=1,
                    help="halo ghost-layer width (scales the payload)")
@@ -438,14 +440,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ids", nargs="*", default=None, metavar="ID",
                    choices=sorted(FIGURE_SPECS),
                    help="figure ids (default: all of fig04..fig17)")
-    p.add_argument("--per-decade", type=int, default=2)
+    p.add_argument("--per-decade", type=_positive_int, default=2)
     p.add_argument("--out", default=None,
                    help="directory for CSV/JSON export")
     p.add_argument("--no-plots", action="store_true")
     _add_executor_flags(p)
 
     p = sub.add_parser("report", help="full reproduction report with claims")
-    p.add_argument("--per-decade", type=int, default=2)
+    p.add_argument("--per-decade", type=_positive_int, default=2)
     _add_executor_flags(p)
 
     p = sub.add_parser("compare", help="system comparison table")
@@ -513,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default="crossbar",
                    choices=("crossbar", "fattree"),
                    help="network fabric (pattern targets)")
-    p.add_argument("--per-decade", type=int, default=1,
+    p.add_argument("--per-decade", type=_positive_int, default=1,
                    help="grid resolution (figure targets; default: 1)")
     p.add_argument("--out", default="results/trace",
                    help="export directory (default: results/trace)")
@@ -851,6 +853,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "trace" and args.target == "polling" \
             and args.interval == 0:
         parser.error("argument --interval: must be >= 1, got 0")
+    if args.command == "pattern":
+        try:
+            make_topology(args.topology, args.arity)
+        except TopologyError as exc:
+            parser.error(f"argument --arity: {exc}")
     try:
         code = _run_command(args)
         sys.stdout.flush()

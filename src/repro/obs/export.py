@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import csv
 import json
+import json.encoder
 from bisect import bisect_left, bisect_right
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Iterator, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from .metrics import MetricsRegistry
@@ -102,6 +103,52 @@ def _encode(value: Any) -> str:
     return encoder(value)
 
 
+#: Leaf types whose tuples are memoized by value.  The test is by exact
+#: type, so ``(1,)``, ``(1.0,)`` and ``(True,)``, which are equal as
+#: keys, never share an entry.
+_MEMO_LEAVES = frozenset((str, int))
+
+#: Leaf types the stdlib C encoder writes exactly as ``_encode`` does.
+_PLAIN_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
+def _detail_encoder() -> Callable[[Any], str]:
+    """A fresh :func:`_encode` for one export's event details.
+
+    A tuple of ``str``/``int`` leaves is encoded once per distinct
+    value; any other tuple of plain leaves goes through the stdlib C
+    encoder, built as ``json.dumps`` builds it; everything else takes
+    :func:`_encode`.
+    """
+    memo: Dict[Tuple[Any, ...], str] = {}
+    memoizable = _MEMO_LEAVES.issuperset
+    plain = _PLAIN_LEAVES.issuperset
+    make_encoder = getattr(json.encoder, "c_make_encoder", None)
+    c_encode = None if make_encoder is None else make_encoder(
+        None, None, encode_basestring_ascii, None, ": ", ", ",
+        False, False, True)
+
+    def encode(detail: Any) -> str:
+        if type(detail) is tuple:
+            if memoizable(map(type, detail)):
+                text = memo.get(detail)
+                if text is None:
+                    text = memo[detail] = _encode(detail)
+                return text
+            if c_encode is not None and plain(map(type, detail)):
+                return "".join(c_encode(detail, 0))
+        return _encode(detail)
+
+    return encode
+
+
+#: Rows per block: each block is joined and written in one call.
+_BLOCK_ROWS = 4096
+
+#: Sim kinds that render as slices or counters rather than instants.
+_SHAPED_KINDS = frozenset(("pww_phase", "gm_tokens", *_DEPTH_DELTA))
+
+
 def _executor_rows(
     sim_events: Sequence[ObsEvent],
     exec_events: Sequence[ObsEvent],
@@ -149,15 +196,17 @@ def _executor_rows(
             }
 
 
-def _chrome_rows(
+def _chrome_blocks(
     events: Sequence[ObsEvent],
     label: str,
     dropped: Optional[Dict[str, int]],
-) -> Iterator[str]:
-    """The JSON text of each ``traceEvents`` row, in document order.
+) -> Iterator[List[str]]:
+    """The JSON text of the ``traceEvents`` rows, in document order, in
+    blocks of at most a few thousand rows.
 
-    A sim event's row is a prefix cached per ``(kind, source)`` plus its
-    encoded fields, exactly as ``json.dumps`` writes the row's dict.
+    A sim instant's row is a head cached per ``(kind, source)`` plus
+    its timestamp and encoded detail, exactly as ``json.dumps`` writes
+    the row's dict.
     """
     exec_events = [
         ev for ev in events
@@ -169,87 +218,93 @@ def _chrome_rows(
     ]
     sources = sorted({ev.source for ev in events})
     tid_of = {source: tid for tid, source in enumerate(sources, start=1)}
-    yield json.dumps({
+    yield [json.dumps({
         "ph": "M", "name": "process_name", "pid": 0, "tid": 0,
         "args": {"name": f"{label} (simulated time)"},
-    })
-    for source, tid in tid_of.items():
-        yield json.dumps({
-            "ph": "M", "name": "thread_name", "pid": 0, "tid": tid,
-            "args": {"name": source},
-        })
+    })] + [json.dumps({
+        "ph": "M", "name": "thread_name", "pid": 0, "tid": tid,
+        "args": {"name": source},
+    }) for source, tid in tid_of.items()]
 
     encode = _encode
+    detail_text = _detail_encoder()
+    float_repr = float.__repr__
+    instants: Dict[Tuple[str, str], str] = {}
     prefixes: Dict[Tuple[str, str], str] = {}
     depth_by_source: Dict[str, int] = {}
-    for ev in events:
-        kind = ev.kind
-        source = ev.source
-        prefix = prefixes.get((kind, source))
-        if prefix is None:
-            tail = f', "pid": 0, "tid": {tid_of[source]}, "ts": '
-            if kind == "pww_phase":  # the phase name goes first
-                prefix = tail
+    for start in range(0, len(events), _BLOCK_ROWS):
+        rows: List[str] = []
+        append = rows.append
+        for _seq, time_s, source, kind, detail in (
+            events[start:start + _BLOCK_ROWS]
+        ):
+            head = instants.get((kind, source))
+            if head is None and kind not in _SHAPED_KINDS:
+                head = instants[kind, source] = (
+                    '{"ph": "i", "name": ' + encode_basestring_ascii(kind)
+                    + ', "cat": "sim", "s": "t", "pid": 0, "tid": '
+                    + f'{tid_of[source]}, "ts": ')
+            if head is not None:  # the common row: a sim instant mark
+                ts = time_s * _SEC_TO_US
+                ts_text = float_repr(ts) if type(ts) is float else encode(ts)
+                append(head + _FLOAT_SPECIALS.get(ts_text, ts_text)
+                       + ', "args": {"detail": ' + detail_text(detail)
+                       + "}}")
+                continue
+            prefix = prefixes.get((kind, source))
+            if prefix is None:
+                tail = f', "pid": 0, "tid": {tid_of[source]}, "ts": '
+                if kind == "pww_phase":  # the phase name goes first
+                    prefix = tail
+                elif kind in _DEPTH_DELTA:
+                    prefix = ('{"ph": "C", "name": '
+                              + encode_basestring_ascii(f"{source}.depth")
+                              + ', "cat": "queue"' + tail)
+                else:  # gm_tokens: the node's name goes first
+                    prefix = ', "cat": "gm"' + tail
+                prefixes[kind, source] = prefix
+            if kind == "pww_phase":
+                batch, t0_s, post_s, work_s, wait_s = detail
+                args = ', "args": {"batch": ' + encode(batch) + "}}"
+                phase_s = t0_s
+                for phase_head, dur_s in (
+                    ('{"ph": "X", "name": "pww.post", "cat": "pww"', post_s),
+                    ('{"ph": "X", "name": "pww.work", "cat": "pww"', work_s),
+                    ('{"ph": "X", "name": "pww.wait", "cat": "pww"', wait_s),
+                ):
+                    append(phase_head + prefix + encode(phase_s * _SEC_TO_US)
+                           + ', "dur": ' + encode(dur_s * _SEC_TO_US) + args)
+                    phase_s += dur_s
             elif kind in _DEPTH_DELTA:
-                prefix = ('{"ph": "C", "name": '
-                          + encode_basestring_ascii(f"{source}.depth")
-                          + ', "cat": "queue"' + tail)
-            elif kind == "gm_tokens":  # the node's name goes first
-                prefix = ', "cat": "gm"' + tail
-            else:
-                prefix = ('{"ph": "i", "name": '
-                          + encode_basestring_ascii(kind)
-                          + ', "cat": "sim", "s": "t"' + tail)
-            prefixes[kind, source] = prefix
-        if kind == "pww_phase":
-            batch, t0_s, post_s, work_s, wait_s = ev.detail
-            args = ', "args": {"batch": ' + encode(batch) + "}}"
-            start_s = t0_s
-            for head, dur_s in (
-                ('{"ph": "X", "name": "pww.post", "cat": "pww"', post_s),
-                ('{"ph": "X", "name": "pww.work", "cat": "pww"', work_s),
-                ('{"ph": "X", "name": "pww.wait", "cat": "pww"', wait_s),
-            ):
-                yield (head + prefix + encode(start_s * _SEC_TO_US)
-                       + ', "dur": ' + encode(dur_s * _SEC_TO_US) + args)
-                start_s += dur_s
-        elif kind in _DEPTH_DELTA:
-            depth = depth_by_source.get(source, 0) + _DEPTH_DELTA[kind]
-            depth_by_source[source] = depth
-            yield (prefix + encode(ev.time_s * _SEC_TO_US)
-                   + ', "args": {"depth": ' + encode(depth) + "}}")
-        elif kind == "gm_tokens":
-            node, tokens, _max_tokens = ev.detail
-            yield ('{"ph": "C", "name": '
-                   + encode_basestring_ascii(f"gm.tokens.node{node}")
-                   + prefix + encode(ev.time_s * _SEC_TO_US)
-                   + ', "args": {"tokens": ' + encode(tokens) + "}}")
-        else:
-            yield (prefix + encode(ev.time_s * _SEC_TO_US)
-                   + ', "args": {"detail": ' + encode(ev.detail) + "}}")
+                depth = depth_by_source.get(source, 0) + _DEPTH_DELTA[kind]
+                depth_by_source[source] = depth
+                append(prefix + encode(time_s * _SEC_TO_US)
+                       + ', "args": {"depth": ' + encode(depth) + "}}")
+            else:  # gm_tokens
+                node, tokens, _max_tokens = detail
+                append('{"ph": "C", "name": '
+                       + encode_basestring_ascii(f"gm.tokens.node{node}")
+                       + prefix + encode(time_s * _SEC_TO_US)
+                       + ', "args": {"tokens": ' + encode(tokens) + "}}")
+        yield rows
     if exec_events:
-        yield json.dumps({
-            "ph": "M", "name": "process_name", "pid": EXECUTOR_PID,
-            "tid": 0, "args": {"name": f"{label} (executor)"},
-        })
-        yield json.dumps({
-            "ph": "M", "name": "thread_name", "pid": EXECUTOR_PID,
-            "tid": 1, "args": {"name": "sweep points"},
-        })
-        for row in _executor_rows(events, exec_events):
-            yield json.dumps(row)
+        yield [json.dumps(row) for row in (
+            {"ph": "M", "name": "process_name", "pid": EXECUTOR_PID,
+             "tid": 0, "args": {"name": f"{label} (executor)"}},
+            {"ph": "M", "name": "thread_name", "pid": EXECUTOR_PID,
+             "tid": 1, "args": {"name": "sweep points"}},
+            *_executor_rows(events, exec_events),
+        )]
     if dropped:
         drop_tid = len(sources) + 1
-        yield json.dumps({
-            "ph": "M", "name": "thread_name", "pid": 0, "tid": drop_tid,
-            "args": {"name": "obs.tracer"},
-        })
-        for kind, count in sorted(dropped.items()):
-            yield json.dumps({
-                "ph": "i", "name": f"dropped.{kind}", "cat": "obs",
-                "s": "g", "pid": 0, "tid": drop_tid, "ts": 0,
-                "args": {"dropped": count},
-            })
+        yield [json.dumps(row) for row in (
+            {"ph": "M", "name": "thread_name", "pid": 0, "tid": drop_tid,
+             "args": {"name": "obs.tracer"}},
+            *({"ph": "i", "name": f"dropped.{kind}", "cat": "obs",
+               "s": "g", "pid": 0, "tid": drop_tid, "ts": 0,
+               "args": {"dropped": count}}
+              for kind, count in sorted(dropped.items())),
+        )]
 
 
 def _chrome_text(
@@ -257,7 +312,7 @@ def _chrome_text(
     label: str,
     dropped: Optional[Dict[str, int]],
 ) -> Iterator[str]:
-    """The Chrome trace document as text pieces (``json.dumps`` layout)."""
+    """The Chrome trace document as text blocks (``json.dumps`` layout)."""
     other_data: Dict[str, Any] = {
         "schema_version": TRACE_SCHEMA_VERSION,
         "generator": "comb-obs",
@@ -266,8 +321,8 @@ def _chrome_text(
     if dropped is not None:
         other_data["dropped_events"] = dict(sorted(dropped.items()))
     sep = '{"traceEvents": ['
-    for row in _chrome_rows(events, label, dropped):
-        yield sep + row
+    for rows in _chrome_blocks(events, label, dropped):
+        yield sep + ", ".join(rows)
         sep = ", "
     yield ('], "displayTimeUnit": "ms", "otherData": '
            + json.dumps(other_data) + "}")
@@ -306,8 +361,8 @@ def write_chrome_trace(
 ) -> Path:
     """Write the Chrome trace JSON for ``events`` to ``path``.
 
-    Rows stream to the file as they are encoded; the document is never
-    held in memory whole.
+    Rows are encoded and written a block at a time; the document is
+    never held in memory whole.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -315,6 +370,15 @@ def write_chrome_trace(
         fh.writelines(_chrome_text(events, label, dropped))
         fh.write("\n")
     return path
+
+
+class _Lines(List[str]):
+    """A block of text lines that a ``csv.writer`` can write into."""
+
+    __slots__ = ()
+
+    def write(self, line: str) -> None:
+        self.append(line)
 
 
 def write_csv_timeline(
@@ -327,22 +391,56 @@ def write_csv_timeline(
     When ``dropped`` is given, one trailing row per truncated kind
     (source ``obs.tracer``, kind ``dropped``, seq ``-1``) records how
     many events of that kind the ring buffers evicted.
+
+    Rows are written a block at a time.  A row is its ``seq``, its
+    ``time_s`` repr, a ``,source,kind,`` piece cached per pair and a
+    detail cell cached per detail text; ``csv.writer`` writes each
+    cached piece once, so the quoting is the csv module's own.  A row
+    whose ``seq``, ``time_s``, ``source`` and ``kind`` are not exactly
+    ``int``, ``float``, ``str`` and ``str`` goes through ``csv.writer``
+    whole.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # The writer appends each line it writes to the current block; a
+    # cached piece is a line it wrote around that piece, popped back off.
+    rows = _Lines()
+    writer = csv.writer(rows)
+    eol = writer.dialect.lineterminator
+    end = -len(eol)
+    writer.writerow(["seq", "time_s", "source", "kind", "detail"])
+    detail_text = _detail_encoder()
+    float_repr = float.__repr__
+    middles: Dict[Tuple[str, str], str] = {}
+    cells: Dict[str, str] = {}
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seq", "time_s", "source", "kind", "detail"])
-        writer.writerows(
-            (ev.seq, repr(ev.time_s), ev.source, ev.kind, _encode(ev.detail))
-            for ev in events
-        )
+        for start in range(0, len(events), _BLOCK_ROWS):
+            for seq, time_s, source, kind, detail in (
+                events[start:start + _BLOCK_ROWS]
+            ):
+                text = detail_text(detail)
+                if not (type(seq) is int and type(time_s) is float
+                        and type(source) is str and type(kind) is str):
+                    writer.writerow((seq, repr(time_s), source, kind, text))
+                    continue
+                middle = middles.get((source, kind))
+                if middle is None:
+                    writer.writerow(("", source, kind, ""))
+                    middle = middles[source, kind] = rows.pop()[:end]
+                cell = cells.get(text)
+                if cell is None:
+                    writer.writerow(("", text))
+                    cell = cells[text] = rows.pop()[1:end]
+                rows.append(f"{seq},{float_repr(time_s)}{middle}{cell}{eol}")
+            fh.write("".join(rows))
+            rows.clear()
         if dropped:
             for kind, count in sorted(dropped.items()):
                 writer.writerow([
                     -1, repr(0.0), "obs.tracer", "dropped",
                     json.dumps({"kind": kind, "dropped": count}),
                 ])
+        fh.write("".join(rows))
     return path
 
 

@@ -84,8 +84,10 @@ class ObsTracer(Tracer):
             self.dispatch(ev)
 
     def record_kernel(self, time: float, event: Any) -> None:
+        # The class name: the engine has detached the event's callbacks
+        # by now, and its repr carries a memory address.
         if self.kernel:
-            self.record(time, "engine", "kernel", repr(event))
+            self.record(time, "engine", "kernel", type(event).__name__)
 
     @property
     def reads_kernel(self) -> bool:

@@ -186,6 +186,11 @@ class TestParsing:
         ["trace", "halo", "--ranks", "1"],
         ["trace", "polling", "--interval", "0"],
         ["trace", "pww", "--interval", "-1"],
+        ["pww", "--tests-in-work", "-3"],
+        ["pattern", "halo3d", "--topology", "fattree", "--arity", "-2"],
+        ["figures", "--per-decade", "0"],
+        ["report", "--per-decade", "-1"],
+        ["trace", "fig11", "--per-decade", "0"],
     ], ids=" ".join)
     def test_out_of_range_point_option_is_argument_error(self, argv,
                                                           capsys):
@@ -197,6 +202,30 @@ class TestParsing:
         err = capsys.readouterr().err
         assert "error: argument --" in err and "must be >= " in err
 
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(argv, message, id=" ".join(argv))
+        for argv, message in [
+            (["figures", "--ci-width", "-1"], "argument --ci-width: must be"),
+            (["figures", "--ci-width", "nan"], "argument --ci-width: must be"),
+            (["report", "--ci-width", "inf"], "argument --ci-width: must be"),
+            (["pattern", "halo3d", "--arity", "4"],
+             "argument --arity: topology 'crossbar' takes no arity"),
+            (["pattern", "halo3d", "--topology", "fattree", "--arity", "3"],
+             "argument --arity: fat-tree arity must be an even number"),
+        ]
+    ])
+    def test_bad_flag_is_one_error_line(self, argv, message, capsys):
+        """A non-finite or negative ``--ci-width`` and an arity the
+        topology cannot take fail at parse time: exit 2 and one
+        ``error:`` line, not a traceback or a sweep that runs every
+        point to the ``--reps`` cap."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", [
         ["polling"], ["pww"], ["pattern", "halo"], ["offload"], ["netperf"],

@@ -1,13 +1,17 @@
 """The exporters' direct text encoding equals ``json.dumps`` of the rows.
 
 The Chrome trace and CSV writers encode each row as text instead of
-building a dict per event.  The references below are the dict-building
-exporters they replaced, frozen here: every case checks that the text
-the module writes is byte for byte what ``json.dumps`` writes for those
-dicts, on generated details (nested tuples, lists and dicts; NaN, ±inf
-and -0.0; ``bool`` and ``IntEnum``; non-ASCII and control characters;
-objects that fall back to ``repr``) and on the ``--kernel`` stream of a
-real run.
+building a dict per event, and write the rows in blocks.  The references
+below are the dict-building exporters they replaced, frozen here: every
+case checks that the text the module writes is byte for byte what
+``json.dumps`` (and ``csv.writer``, row by row) writes for those rows,
+on generated details (nested tuples, lists and dicts; NaN, ±inf and
+-0.0; ``bool`` and ``IntEnum``; non-ASCII and control characters;
+objects that fall back to ``repr``), on the ``--kernel`` stream of a
+real run, and on the cases the fast paths must keep apart: details
+that are equal as keys but encode differently (``(1,)``, ``(1.0,)``,
+``(True,)``), rows whose fields are not the plain types, streams longer
+than one write block, and a Python without the C JSON encoder.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import csv
 import io
 import json
 import math
+import json.encoder
 from enum import IntEnum
 from typing import Any, Dict, List, NamedTuple, Optional
 
@@ -31,8 +36,10 @@ from repro.obs import (
     write_csv_timeline,
 )
 from repro.obs.export import (
+    _BLOCK_ROWS,
     EXECUTOR_PID,
     TRACE_SCHEMA_VERSION,
+    _detail_encoder,
     _encode,
     _jsonable,
 )
@@ -241,15 +248,33 @@ _DROPPED = st.none() | st.dictionaries(
     st.integers(1, 10**6), max_size=3)
 
 
+def _assert_same_text(actual: str, expected: str) -> None:
+    """``actual == expected``, reporting only the first difference: the
+    full diff of a long export takes minutes to render."""
+    if actual != expected:
+        at = next((i for i, (a, b) in enumerate(zip(actual, expected))
+                   if a != b), min(len(actual), len(expected)))
+        lo = max(at - 60, 0)
+        raise AssertionError(
+            f"texts differ at {at} (lengths {len(actual)}, "
+            f"{len(expected)}): {actual[lo:at + 60]!r} != "
+            f"{expected[lo:at + 60]!r}")
+
+
 def _check_exports(tmp_path, events, dropped, label="comb é") -> None:
     expected = json.dumps(reference_chrome_trace(events, label, dropped))
     path = write_chrome_trace(events, tmp_path / "t.trace.json",
                               label=label, dropped=dropped)
-    assert path.read_text() == expected + "\n"
-    assert json.dumps(chrome_trace(events, label, dropped)) == expected
+    _assert_same_text(path.read_text(), expected + "\n")
+    _assert_same_text(json.dumps(chrome_trace(events, label, dropped)),
+                      expected)
+    _check_csv(tmp_path, events, dropped)
+
+
+def _check_csv(tmp_path, events, dropped) -> None:
     path = write_csv_timeline(events, tmp_path / "t.csv", dropped=dropped)
     with path.open(newline="") as fh:
-        assert fh.read() == reference_csv(events, dropped)
+        _assert_same_text(fh.read(), reference_csv(events, dropped))
 
 
 # --------------------------------------------------------------------- cases
@@ -268,15 +293,37 @@ def test_rows_equal_json_dumps_of_reference_rows(tmp_path_factory, events,
     _check_exports(tmp_path_factory.mktemp("rows"), events, dropped)
 
 
-def test_kernel_stream_rows(tmp_path):
-    """``--kernel`` details are ``repr`` strings of engine events."""
+def _kernel_run() -> Observer:
     observer = Observer(kernel=True)
     with use_observer(observer):
         run_pww(gm_system(), PwwConfig(msg_bytes=1024,
                                        work_interval_iters=1000, batches=2))
+    return observer
+
+
+def test_kernel_stream_rows(tmp_path):
+    """``--kernel`` details are the class names of engine events."""
+    observer = _kernel_run()
     events = observer.events()
-    assert any(ev.kind == "kernel" for ev in events)
+    details = {ev.detail for ev in events if ev.kind == "kernel"}
+    assert details and details <= {"Event", "Timeout", "Process",
+                                    "Condition", "AllOf", "AnyOf",
+                                    "Request"}
     _check_exports(tmp_path, events, observer.tracer.dropped())
+
+
+def test_kernel_stream_exports_are_reproducible(tmp_path):
+    """Two identical runs write identical ``kernel`` rows: no detail
+    carries a memory address.  (Message ids come from a process-wide
+    counter, so only separate processes repeat the other rows.)"""
+    rows = []
+    for run in ("a", "b"):
+        observer = _kernel_run()
+        events = [ev for ev in observer.events() if ev.kind == "kernel"]
+        trace = write_chrome_trace(events, tmp_path / f"{run}.trace.json")
+        timeline = write_csv_timeline(events, tmp_path / f"{run}.csv")
+        rows.append((trace.read_bytes(), timeline.read_bytes()))
+    assert rows[0] == rows[1]
 
 
 def test_csv_quotes_commas_quotes_and_newlines(tmp_path):
@@ -292,3 +339,130 @@ def test_csv_quotes_commas_quotes_and_newlines(tmp_path):
     for row, detail in zip(rows[1:], details):
         assert row[2:4] == ["src,\"odd\"\n", "k,ind"]
         assert json.loads(row[4]) == _jsonable(detail)
+
+
+# ------------------------------------------------------- fast-path cases
+def test_memo_keeps_equal_but_differently_typed_details_apart(tmp_path):
+    """``(1,) == (1.0,) == (True,)`` as dict keys, but each encodes as
+    itself, in any order, in both writers."""
+    details = [(1,), (1.0,), (True,), (1, "a"), (True, "a"), (1.0, "a"),
+               (0,), (False,), (0.0,), (-0.0,), (Color.RED,), (1,),
+               (True, "a"), (1, "a"), (), [1, "a"], ("a",), (1.5, None)]
+    events = [ObsEvent(seq, 0.25, "node0.nic", "packet_tx", detail)
+              for seq, detail in enumerate(details + details[::-1])]
+    _check_exports(tmp_path, events, None)
+    encode = _detail_encoder()
+    for detail in details + details[::-1]:
+        assert encode(detail) == json.dumps(_jsonable(detail))
+
+
+class Seconds(float):
+    """A float subclass whose ``repr`` is not ``float``'s."""
+
+    def __repr__(self) -> str:
+        return f"Seconds({float(self)!r})"
+
+
+def test_special_and_non_float_times(tmp_path):
+    """NaN, ±inf and -0.0 times, and times that are not exactly
+    ``float`` (an ``int``, a ``bool``, a float subclass), in every row
+    shape."""
+    times = [math.nan, math.inf, -math.inf, -0.0, 0.0, 3, True,
+             Seconds(0.5), 1e-320, 1.5e300]
+    events = []
+    for time_s in times:
+        for source, kind, detail in (
+            ("node0.nic", "packet_tx", (7, "data")),
+            ("link0", "wire_tx", (7, 1.5)),
+            ("rank0.posted", "q_post", None),
+            ("rank0.gm", "gm_tokens", (0, 3, 8)),
+            ("rank0.pww", "pww_phase", (1, time_s, 1e-6, 2e-6, 0.0)),
+        ):
+            events.append(ObsEvent(len(events), time_s, source, kind, detail))
+    _check_exports(tmp_path, events, {"packet_tx": 2})
+
+
+class Tag(str):
+    """A ``str`` subclass: a field that is not exactly ``str``."""
+
+
+def test_odd_sources_kinds_and_detail_text(tmp_path):
+    """Fields holding ``,``, ``"``, ``\r``, ``\n`` and non-ASCII text,
+    and fields that are not exactly ``int``/``str``, round-trip both
+    writers as the references write them."""
+    odd = ["a,b", 'say "hi"', "cr\rlf\r\n", "line\nbreak", "nœud ✓ 😀",
+           "", " lead", '","']
+    events = []
+    for text in odd:
+        for source, kind in ((text, "packet_tx"), ("node0.nic", text),
+                             (Tag(text or "t"), Tag("k" + text))):
+            for detail in (text, (text,), (1, text), (text, 2.5), [text]):
+                events.append(ObsEvent(len(events), 0.5, source, kind,
+                                       detail))
+    events.append(ObsEvent(Color.BLUE, 0.5, "node0.nic", "packet_tx", (1,)))
+    events.append(ObsEvent(True, 0.5, "node0.nic", "packet_tx", (1,)))
+    _check_exports(tmp_path, events, {"a,b": 1, 'q"': 2})
+    # Equal as keys, written differently: only the CSV writer takes a
+    # source or kind that is not text (the Chrome row names need it).
+    _check_csv(tmp_path, [
+        ObsEvent(seq, 0.5, source, kind, (1,))
+        for seq, (source, kind) in enumerate([
+            (1, "k"), (True, "k"), (1.0, "k"), ("s", 1), ("s", True),
+            (1, "k"), ("s", 1.0), (Tag("s"), "k"), ("s", "k"),
+        ])
+    ], None)
+    path = write_csv_timeline(events, tmp_path / "odd.csv")
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + len(events)
+    for row, ev in zip(rows[1:], events):
+        assert row[2:4] == [ev.source, ev.kind]
+        assert json.loads(row[4]) == _jsonable(ev.detail)
+
+
+def test_stream_longer_than_one_block(tmp_path):
+    """Rows on either side of a block boundary, every row shape, with
+    the queue depth carried across blocks."""
+    shapes = [
+        ("executor", "point_start", lambda i: ("pww", "GM", 1024, 10, 2)),
+        ("node0.nic", "packet_tx", lambda i: (i % 97, "data")),
+        ("link1", "wire_tx", lambda i: (i, i * 1e-9)),
+        ("rank0.posted", "q_post", lambda i: None),
+        ("rank0.posted", "q_post", lambda i: None),  # the depth grows
+        ("rank0.posted", "q_match", lambda i: None),
+        ("rank0.gm", "gm_tokens", lambda i: (0, i % 9, 8)),
+        ("rank0.pww", "pww_phase", lambda i: (i, i * 1e-6, 1e-7, 2e-7, 0.0)),
+        ("executor", "point_end", lambda i: ("pww",)),
+    ]
+    n = 2 * _BLOCK_ROWS + 7
+    events = []
+    for i in range(n):
+        source, kind, detail = shapes[i % len(shapes)]
+        events.append(ObsEvent(i, i * 1e-7, source, kind, detail(i)))
+    _check_exports(tmp_path, events, {"wire_tx": 5})
+    with (tmp_path / "t.csv").open(newline="") as fh:
+        assert sum(1 for _ in csv.reader(fh)) == 1 + n + 1
+
+
+@given(details=st.lists(_DETAILS | st.tuples(_LEAVES, _LEAVES)
+                        | st.tuples(st.integers(-2, 2), st.booleans()),
+                        max_size=30))
+def test_one_encoder_over_many_details_equals_json_dumps(details):
+    """One export's encoder, memo and all, over a stream of details."""
+    encode = _detail_encoder()
+    for detail in details + details:
+        assert encode(detail) == json.dumps(_jsonable(detail))
+
+
+def test_without_the_c_encoder(tmp_path, monkeypatch):
+    """Where the stdlib has no C encoder, plain tuples take ``_encode``
+    and the exports do not change."""
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    details = [(1.5, 2, "x"), (math.nan, None, True), (1, "a"), (-0.0,),
+               (math.inf, -math.inf), "s", None, [1.0]]
+    encode = _detail_encoder()
+    for detail in details:
+        assert encode(detail) == json.dumps(_jsonable(detail))
+    events = [ObsEvent(seq, 0.5, "link0", "wire_tx", detail)
+              for seq, detail in enumerate(details)]
+    _check_exports(tmp_path, events, None)
