@@ -98,8 +98,9 @@ from .core import (
     SweepExecutor,
 )
 from .core.executor import _METHODS, DEFAULT_CACHE_DIR, PointTask
-from .hardware.topology import TopologyError, make_topology
+from .hardware.topology import make_topology
 from .patterns import PATTERN_KINDS, PatternConfig
+from .patterns.config import validate_config
 
 #: ``comb pattern`` / ``comb trace`` accept ``halo`` for halo2d.
 _PATTERN_ALIASES = {"halo": "halo2d", **{k: k for k in PATTERN_KINDS}}
@@ -846,6 +847,18 @@ def _print_point(pt) -> None:
             print(f"    rank {rank:>3d}: {avail:.3f}")
 
 
+def _check_pattern(parser: argparse.ArgumentParser,
+                   cfg: PatternConfig) -> None:
+    """Reject, as a usage error, a pattern point that its config check
+    or its topology refuses (a grid that does not hold ``--ranks``, an
+    arity the topology cannot take)."""
+    try:
+        validate_config(cfg)
+        make_topology(cfg.topology, cfg.arity)
+    except ValueError as exc:  # TopologyError included
+        parser.error(str(exc))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = _build_parser()
@@ -853,11 +866,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "trace" and args.target == "polling" \
             and args.interval == 0:
         parser.error("argument --interval: must be >= 1, got 0")
-    if args.command == "pattern":
-        try:
-            make_topology(args.topology, args.arity)
-        except TopologyError as exc:
-            parser.error(f"argument --arity: {exc}")
+    if args.command in ("pattern", "trace"):
+        kind = args.pattern if args.command == "pattern" else args.target
+        if kind in _PATTERN_ALIASES:
+            _check_pattern(parser, _point_task(args, kind).cfg)
     try:
         code = _run_command(args)
         sys.stdout.flush()

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-import json.encoder
 from bisect import bisect_left, bisect_right
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -108,35 +107,22 @@ def _encode(value: Any) -> str:
 #: keys, never share an entry.
 _MEMO_LEAVES = frozenset((str, int))
 
-#: Leaf types the stdlib C encoder writes exactly as ``_encode`` does.
-_PLAIN_LEAVES = frozenset((str, int, float, bool, type(None)))
-
 
 def _detail_encoder() -> Callable[[Any], str]:
     """A fresh :func:`_encode` for one export's event details.
 
     A tuple of ``str``/``int`` leaves is encoded once per distinct
-    value; any other tuple of plain leaves goes through the stdlib C
-    encoder, built as ``json.dumps`` builds it; everything else takes
-    :func:`_encode`.
+    value; everything else takes :func:`_encode` each time.
     """
     memo: Dict[Tuple[Any, ...], str] = {}
     memoizable = _MEMO_LEAVES.issuperset
-    plain = _PLAIN_LEAVES.issuperset
-    make_encoder = getattr(json.encoder, "c_make_encoder", None)
-    c_encode = None if make_encoder is None else make_encoder(
-        None, None, encode_basestring_ascii, None, ": ", ", ",
-        False, False, True)
 
     def encode(detail: Any) -> str:
-        if type(detail) is tuple:
-            if memoizable(map(type, detail)):
-                text = memo.get(detail)
-                if text is None:
-                    text = memo[detail] = _encode(detail)
-                return text
-            if c_encode is not None and plain(map(type, detail)):
-                return "".join(c_encode(detail, 0))
+        if type(detail) is tuple and memoizable(map(type, detail)):
+            text = memo.get(detail)
+            if text is None:
+                text = memo[detail] = _encode(detail)
+            return text
         return _encode(detail)
 
     return encode

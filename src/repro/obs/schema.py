@@ -19,11 +19,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 #: kind → positional field names of ``detail`` (a tuple at the emitter).
-#: A declared kind whose detail is not a tuple (``kernel`` carries a
-#: repr string, ``q_*`` carry ``None``) names its single payload field.
+#: A declared kind whose detail is not a tuple (``kernel`` carries the
+#: event's class name, ``q_*`` carry ``None``) names its single payload
+#: field.
 EVENT_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     # -- engine -----------------------------------------------------------
-    "kernel": ("event_repr",),
+    "kernel": ("event_class",),
     "schedule_past": ("delay_s",),
     # -- wire / NIC (one shape, so span stitching joins on position) ------
     "packet_tx": ("packet_kind", "msg_id", "packet_index"),

@@ -209,16 +209,19 @@ class TestParsing:
             (["figures", "--ci-width", "nan"], "argument --ci-width: must be"),
             (["report", "--ci-width", "inf"], "argument --ci-width: must be"),
             (["pattern", "halo3d", "--arity", "4"],
-             "argument --arity: topology 'crossbar' takes no arity"),
+             "topology 'crossbar' takes no arity"),
             (["pattern", "halo3d", "--topology", "fattree", "--arity", "3"],
-             "argument --arity: fat-tree arity must be an even number"),
+             "fat-tree arity must be an even number"),
+            (["pattern", "halo3d", "--grid", "3", "3", "--ranks", "4"],
+             "grid (3, 3) holds 9 ranks, not 4"),
         ]
     ])
     def test_bad_flag_is_one_error_line(self, argv, message, capsys):
-        """A non-finite or negative ``--ci-width`` and an arity the
-        topology cannot take fail at parse time: exit 2 and one
-        ``error:`` line, not a traceback or a sweep that runs every
-        point to the ``--reps`` cap."""
+        """A non-finite or negative ``--ci-width``, an arity the
+        topology cannot take and a grid that does not hold ``--ranks``
+        fail at parse time: exit 2 and one ``error:`` line, not a
+        traceback or a sweep that runs every point to the ``--reps``
+        cap."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -10,8 +10,8 @@ on generated details (nested tuples, lists and dicts; NaN, ±inf and
 objects that fall back to ``repr``), on the ``--kernel`` stream of a
 real run, and on the cases the fast paths must keep apart: details
 that are equal as keys but encode differently (``(1,)``, ``(1.0,)``,
-``(True,)``), rows whose fields are not the plain types, streams longer
-than one write block, and a Python without the C JSON encoder.
+``(True,)``), rows whose fields are not the plain types, and streams
+longer than one write block.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import math
-import json.encoder
 from enum import IntEnum
 from typing import Any, Dict, List, NamedTuple, Optional
 
@@ -453,16 +452,3 @@ def test_one_encoder_over_many_details_equals_json_dumps(details):
     for detail in details + details:
         assert encode(detail) == json.dumps(_jsonable(detail))
 
-
-def test_without_the_c_encoder(tmp_path, monkeypatch):
-    """Where the stdlib has no C encoder, plain tuples take ``_encode``
-    and the exports do not change."""
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    details = [(1.5, 2, "x"), (math.nan, None, True), (1, "a"), (-0.0,),
-               (math.inf, -math.inf), "s", None, [1.0]]
-    encode = _detail_encoder()
-    for detail in details:
-        assert encode(detail) == json.dumps(_jsonable(detail))
-    events = [ObsEvent(seq, 0.5, "link0", "wire_tx", detail)
-              for seq, detail in enumerate(details)]
-    _check_exports(tmp_path, events, None)
